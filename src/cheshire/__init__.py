@@ -3,10 +3,13 @@
 The package models a polarized beam split over two paths with transverse
 spin marking (plus on path I, minus on path II), optional per-path
 absorbers or small spin rotations, a tunable relative phase, and
-post-selected detection.  On top of the exact 4-dimensional matrix
-pipeline it provides weak values with intensity-based estimators and an
-analyzer that pins down which Taylor order of the rotation operator a
-given intensity effect lives at.
+post-selected detection.  Detector intensities come from one numpy pass
+over an ``(N, path, spin)`` amplitude array (``experiment.run_batch``);
+the exact 4-dimensional matrix algebra of ``qcore`` and ``elements``
+underlies the weak values, with intensity-based estimators, and serves as
+the independent reference for the batched pipeline.  An analyzer pins
+down which Taylor order of the rotation operator a given intensity
+effect lives at.
 """
 
 from .analysis import (
@@ -42,6 +45,7 @@ from .experiment import (
     initial_state,
     postselection_state,
     run,
+    run_batch,
     sweep_alpha,
     sweep_chi,
 )

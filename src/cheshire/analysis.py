@@ -20,11 +20,10 @@ from .elements import Truncation
 from .experiment import (
     DEFAULT_SCALE_REF_CPS,
     I_REF_NORM,
-    Detector,
     Magnet,
     Scenario,
     closed_form_o,
-    run,
+    run_batch,
 )
 from .qcore import Path
 
@@ -47,15 +46,22 @@ __all__ = [
 ERROR_FLOOR = 1e-13
 
 
-def _o_selected(path: Path, alpha: float, truncation: Truncation) -> float:
-    scenario = Scenario(insertion=Magnet(path=path, alpha_rad=alpha, truncation=truncation))
-    return run(scenario)[Detector.O_SELECTED].intensity_norm
-
-
 def fit_loglog_slope(x_values, errors, floor: float = ERROR_FLOOR) -> float:
-    """Least-squares slope of log(error) against log(x), ignoring floored points."""
+    """Least-squares slope of log(error) against log(x), ignoring floored points.
+
+    ``x_values`` must be finite and positive and ``errors`` finite and
+    non-negative, one per x value.
+    """
     x = np.asarray(x_values, dtype=float)
     err = np.asarray(errors, dtype=float)
+    if x.ndim != 1 or err.shape != x.shape:
+        raise ValueError(f"need one error per x value, got shapes {x.shape} and {err.shape}")
+    if not (np.isfinite(x).all() and (x > 0.0).all()):
+        raise ValueError("x values must be finite and positive")
+    if not (np.isfinite(err).all() and (err >= 0.0).all()):
+        raise ValueError("errors must be finite and non-negative")
+    if not (math.isfinite(floor) and floor >= 0.0):
+        raise ValueError(f"floor must be finite and non-negative, got {floor!r}")
     keep = err > floor
     if int(keep.sum()) < 2:
         raise ValueError("fewer than two points above the numerical error floor; cannot fit")
@@ -90,9 +96,10 @@ def truncation_scan(path: Path, alpha_grid) -> TruncationReport:
     if not (np.isfinite(grid).all() and (grid > 0.0).all()):
         raise ValueError("alpha_grid entries must be finite and strictly positive")
 
-    i_exact = np.array([_o_selected(path, a, Truncation.EXACT) for a in grid])
-    i_linear = np.array([_o_selected(path, a, Truncation.LINEAR) for a in grid])
-    i_quadratic = np.array([_o_selected(path, a, Truncation.QUADRATIC) for a in grid])
+    i_exact, i_linear, i_quadratic = (
+        run_batch(Scenario(insertion=Magnet(path, 0.0, t)), alpha_rad=grid)[:, 0]
+        for t in Truncation
+    )
 
     return TruncationReport(
         path=path,
@@ -118,18 +125,23 @@ class CheshireDeficits:
 def cheshire_witness(alpha_rad: float) -> CheshireDeficits:
     """Deficit of the post-selected O intensity below the reference, per truncation.
 
-    The linear deficit is identically zero; the quadratic and exact deficits
-    both equal I_ref * alpha^2/4 to leading order, so their ratio tends to
-    one as alpha tends to zero.
+    The linear deficit is identically zero, and exactly 0.0 in floating
+    point: the readout scales by powers of two only.  The quadratic and
+    exact deficits both equal I_ref * alpha^2/4 to leading order, so their
+    ratio tends to one as alpha tends to zero.
     """
     alpha = float(alpha_rad)
     if not (math.isfinite(alpha) and alpha > 0.0):
         raise ValueError(f"alpha_rad must be positive, got {alpha_rad!r}")
+    deficit = {
+        t: I_REF_NORM - float(run_batch(Scenario(insertion=Magnet(Path.II, alpha, t)))[0, 0])
+        for t in Truncation
+    }
     return CheshireDeficits(
         alpha_rad=alpha,
-        deficit_linear=I_REF_NORM - _o_selected(Path.II, alpha, Truncation.LINEAR),
-        deficit_quadratic=I_REF_NORM - _o_selected(Path.II, alpha, Truncation.QUADRATIC),
-        deficit_exact=I_REF_NORM - _o_selected(Path.II, alpha, Truncation.EXACT),
+        deficit_linear=deficit[Truncation.LINEAR],
+        deficit_quadratic=deficit[Truncation.QUADRATIC],
+        deficit_exact=deficit[Truncation.EXACT],
     )
 
 
@@ -177,7 +189,13 @@ def duration_for_rate_sigma(rate_cps: float, sigma_cps: float) -> float:
         raise ValueError(f"rate_cps must be positive, got {rate_cps!r}")
     if not (math.isfinite(sigma) and sigma > 0.0):
         raise ValueError(f"sigma_cps must be positive, got {sigma_cps!r}")
-    return rate / (sigma * sigma)
+    variance = sigma * sigma
+    duration = rate / variance if variance > 0.0 else math.inf
+    if not math.isfinite(duration):
+        raise ValueError(
+            f"counting time for rate {rate!r} cps at sigma {sigma!r} cps is not a finite number"
+        )
+    return duration
 
 
 @dataclass(frozen=True)

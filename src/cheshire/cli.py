@@ -25,12 +25,11 @@ from .experiment import (
     I_REF_NORM,
     Absorber,
     Detector,
-    IntensityRecord,
     Magnet,
     Scenario,
+    count_rate,
     run,
-    sweep_alpha,
-    sweep_chi,
+    run_batch,
 )
 from .qcore import Path
 from .weak import exact_weak_values, projective_spin_expectation
@@ -289,25 +288,30 @@ def _scenario_id(scenario: Scenario) -> str:
     return f"magnet:{ins.path.name}:{ins.truncation.value}"
 
 
-def _sweep_csv_lines(records: list[IntensityRecord]) -> list[str]:
+def _sweep_csv(
+    template: Scenario, vary: str, grid: np.ndarray, readings: np.ndarray, scale: float
+) -> list[str]:
+    """CSV lines of a chi or alpha sweep: a header, then one row per point and detector.
+
+    Strings that are constant over the sweep are formatted once, and the
+    varied value once per point.
+    """
+    rates = count_rate(readings, scale).tolist()
+    ins = template.insertion
+    magnet = isinstance(ins, Magnet)
+    chi = _num(template.chi_rad)
+    alpha = _num(ins.alpha_rad) if magnet else ""
+    trunc = ins.truncation.value if magnet else ""
+    sid = _scenario_id(template)
+    heads = [f"{sid},{det.value}," for det in Detector]
     lines = ["scenario_id,detector,chi_rad,alpha_rad,truncation,intensity_norm,intensity_cps"]
-    for rec in records:
-        ins = rec.scenario.insertion
-        alpha = _num(ins.alpha_rad) if isinstance(ins, Magnet) else ""
-        trunc = ins.truncation.value if isinstance(ins, Magnet) else ""
-        lines.append(
-            ",".join(
-                [
-                    _scenario_id(rec.scenario),
-                    rec.detector.value,
-                    _num(rec.scenario.chi_rad),
-                    alpha,
-                    trunc,
-                    _num(rec.intensity_norm),
-                    _num(rec.intensity_cps),
-                ]
-            )
-        )
+    for value, norms, cps in zip(grid.tolist(), readings.tolist(), rates):
+        if vary == "chi":
+            chi = _num(value)
+        else:
+            alpha = _num(value)
+        point = f"{chi},{alpha},{trunc},"
+        lines.extend(f"{head}{point}{n:.12e},{c:.12e}" for head, n, c in zip(heads, norms, cps))
     return lines
 
 
@@ -353,14 +357,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
     if args.vary == "chi":
         grid = np.linspace(start, stop, points)
-        records = sweep_chi(template, grid, config.scale_ref_cps)
+        readings = run_batch(template, chi_rad=grid)
     else:
         if start <= 0.0:
             raise CliError("alpha sweeps need --start > 0 (log-spaced grid)")
         grid = np.geomspace(start, stop, points)
-        records = sweep_alpha(template, grid, config.scale_ref_cps)
+        readings = run_batch(template, alpha_rad=grid)
 
-    _write_csv(args.csv, _sweep_csv_lines(records))
+    _write_csv(args.csv, _sweep_csv(template, args.vary, grid, readings, config.scale_ref_cps))
     return EXIT_OK
 
 

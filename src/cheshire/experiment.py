@@ -16,9 +16,15 @@ O_SELECTED intensity is exactly 1/4 and is mapped to a laboratory count
 rate by ``scale_ref_cps`` (so the default 11.25 cps corresponds to the
 published reference rate).
 
-Grid sweeps evaluate an independent run per grid point; points carry no
-shared state and may safely be computed concurrently as long as results
-are kept in grid-index order.
+Every element is block-diagonal in path, so :func:`run_batch` evaluates a
+whole grid in one numpy pass on an ``(N, path, spin)`` amplitude array:
+the insertion is a per-path factor on the spin diagonal, the phase a
+per-path scalar, and the recombiner plus spin filter one fixed
+contraction whose 1/sqrt(2) factors are folded into exact powers of two.
+:func:`run` is its N = 1 case and the sweeps are one call each.  The 4x4
+joint algebra of :mod:`cheshire.qcore` and :mod:`cheshire.elements` is not
+on this path; it serves the weak values and is the independent reference
+the tests check this pipeline against.
 """
 
 from __future__ import annotations
@@ -31,9 +37,8 @@ from typing import Iterable, Union
 
 import numpy as np
 
-from . import elements, qcore
 from .elements import Truncation
-from .qcore import JointOperator, JointState, Path
+from .qcore import JointState, Path
 
 __all__ = [
     "I_REF_NORM",
@@ -46,7 +51,8 @@ __all__ = [
     "IntensityRecord",
     "initial_state",
     "postselection_state",
-    "insertion_operator",
+    "run_batch",
+    "count_rate",
     "run",
     "closed_form_o",
     "sweep_chi",
@@ -147,53 +153,130 @@ def postselection_state() -> JointState:
     return JointState(np.array([0.5, -0.5, 0.5, -0.5], dtype=complex))
 
 
-def insertion_operator(insertion: Insertion) -> JointOperator:
-    """Joint operator realizing an insertion (identity when ``None``)."""
-    if insertion is None:
-        return qcore.identity()
-    if isinstance(insertion, Absorber):
-        return elements.absorber(insertion.path, insertion.transmissivity)
-    if isinstance(insertion, Magnet):
-        return elements.magnetic_rotation(insertion.path, insertion.alpha_rad, insertion.truncation)
-    raise TypeError(f"unsupported insertion {insertion!r}")
+# Prepared amplitudes indexed [path, spin]: transverse plus on path I,
+# transverse minus on path II, each with weight 1/2.
+_PREPARED = np.array([[0.5, 0.5], [0.5, -0.5]], dtype=complex)
+
+# Phase shifter: exp(-i chi/2) on path I, exp(+i chi/2) on path II.
+_HALF_PHASE = np.array([-0.5j, 0.5j])
+
+# (c, s) of the rotation c + i s sigma_z for each truncation policy; the
+# 2x2 matrices of elements.spin_rotation_matrix are built independently.
+_ROTATION = {
+    Truncation.EXACT: lambda a: (np.cos(a / 2.0), np.sin(a / 2.0)),
+    Truncation.LINEAR: lambda a: (1.0, a / 2.0),
+    Truncation.QUADRATIC: lambda a: (1.0 - a * a / 8.0, a / 2.0),
+}
+
+# i times the diagonal of sigma_z, indexed by spin.
+_I_SIGMA_Z = np.array([1j, -1j])
+
+# Recombiner: the O port takes path I + path II, the H port path I - path II.
+_RECOMBINE = np.array([[1.0], [-1.0]])
+
+# Port weights of the readout [filtered O, O, H]: the filter's and the
+# recombiner's 1/sqrt(2) factors, squared, as exact powers of two.
+_PORT_WEIGHTS = np.array([0.25, 0.5, 0.5])
+
+
+def _grid(name: str, values) -> np.ndarray:
+    grid = np.atleast_1d(np.asarray(values, dtype=float))
+    if grid.ndim != 1:
+        raise ValueError(f"{name} must be a scalar or one-dimensional, got shape {grid.shape}")
+    if not np.isfinite(grid).all():
+        raise ValueError(f"{name} entries must be finite")
+    return grid
+
+
+def run_batch(template: Scenario, *, chi_rad=None, alpha_rad=None) -> np.ndarray:
+    """Normalized intensities of ``template`` over a grid, in one array pass.
+
+    ``chi_rad`` replaces the template's phase and ``alpha_rad`` its magnet
+    angle; each is a scalar or a one-dimensional array, the two broadcast
+    against each other, and either defaults to the template's value.
+    Returns an ``(N, 3)`` array whose columns follow :class:`Detector`.
+
+    The amplitudes ``a[n, path, spin]`` start from the prepared state; the
+    phase and the insertion scale them path by path and spin by spin.  The
+    readout is then
+
+        O_SELECTED   = |a_I,up + a_II,up - a_I,down - a_II,down|^2 / 4
+        O_UNSELECTED = sum over spin of |a_I + a_II|^2 / 2
+        H            = sum over spin of |a_I - a_II|^2 / 2
+
+    Raises ValueError when a reading is not finite (a truncated rotation
+    at a huge angle overflows).
+    """
+    ins = template.insertion
+    magnet = isinstance(ins, Magnet)
+    if alpha_rad is not None and not magnet:
+        raise ValueError("an alpha grid requires a scenario with a magnet insertion")
+    chi = np.array([template.chi_rad]) if chi_rad is None else _grid("chi_rad", chi_rad)
+    if magnet:
+        alpha = np.array([ins.alpha_rad]) if alpha_rad is None else _grid("alpha_rad", alpha_rad)
+        if alpha.size != chi.size:
+            if 1 not in (alpha.size, chi.size):
+                raise ValueError(
+                    f"chi_rad and alpha_rad grids differ in length ({chi.size} and {alpha.size})"
+                )
+            chi, alpha = np.broadcast_arrays(chi, alpha)
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        amp = _PREPARED * np.exp(np.multiply.outer(chi, _HALF_PHASE))[:, :, np.newaxis]
+        if isinstance(ins, Absorber):
+            amp[:, ins.path.value] *= math.sqrt(ins.transmissivity)
+        elif magnet:
+            c, s = _ROTATION[ins.truncation](alpha[:, np.newaxis])
+            amp[:, ins.path.value] *= c + s * _I_SIGMA_Z
+
+        # ports[n, port, spin]: the filtered O amplitude (times 2, in the
+        # spin-up slot), then the O and H ports (times sqrt(2)).
+        ports = np.zeros((chi.size, 3, 2), dtype=complex)
+        np.add(amp[:, :1], _RECOMBINE * amp[:, 1:], out=ports[:, 1:])
+        np.subtract(ports[:, 1, 0], ports[:, 1, 1], out=ports[:, 0, 0])
+        readings = np.square(ports.view(float)).sum(axis=2) * _PORT_WEIGHTS
+
+    if not np.isfinite(readings).all():
+        i = int(np.argmin(np.isfinite(readings).all(axis=1)))
+        where = f"chi_rad={float(chi[i])!r}"
+        if magnet:
+            where = f"alpha_rad={float(alpha[i])!r}, {where}"
+        raise ValueError(f"intensities are not finite at {where}")
+    return readings
+
+
+def _scale(scale_ref_cps: float) -> float:
+    scale = _require_finite("scale_ref_cps", scale_ref_cps)
+    if scale <= 0.0:
+        raise ValueError(f"scale_ref_cps must be positive, got {scale}")
+    return scale
+
+
+def count_rate(intensity_norm, scale_ref_cps: float):
+    """Count rate of a normalized intensity (a float or an array).
+
+    ``intensity_norm * scale_ref_cps / I_REF_NORM``, so the empty beamline
+    reads exactly ``scale_ref_cps`` at O_SELECTED.
+    """
+    return intensity_norm * scale_ref_cps / I_REF_NORM
+
+
+def _records(scenarios: list[Scenario], readings: np.ndarray, scale: float) -> list[IntensityRecord]:
+    cps = count_rate(readings, scale).tolist()
+    return [
+        IntensityRecord(scenario, det, norm, rate, scale)
+        for scenario, norms, rates in zip(scenarios, readings.tolist(), cps)
+        for det, norm, rate in zip(Detector, norms, rates)
+    ]
 
 
 def run(
     scenario: Scenario, scale_ref_cps: float = DEFAULT_SCALE_REF_CPS
 ) -> dict[Detector, IntensityRecord]:
-    """Simulate one scenario and return one record per detector.
-
-    ``intensity_cps = intensity_norm * scale_ref_cps / I_REF_NORM``, so the
-    empty beamline reads exactly ``scale_ref_cps`` at O_SELECTED.
-    """
-    scale = _require_finite("scale_ref_cps", scale_ref_cps)
-    if scale <= 0.0:
-        raise ValueError(f"scale_ref_cps must be positive, got {scale}")
-
-    state = initial_state()
-    state = qcore.apply(insertion_operator(scenario.insertion), state)
-    state = qcore.apply(elements.phase_shifter(scenario.chi_rad), state)
-    amp_o, amp_h = elements.recombine(state)
-
-    o_selected = abs(elements.spin_select_minus(amp_o)) ** 2
-    o_unselected = float(np.vdot(amp_o, amp_o).real)
-    h_total = float(np.vdot(amp_h, amp_h).real)
-
-    readings = {
-        Detector.O_SELECTED: o_selected,
-        Detector.O_UNSELECTED: o_unselected,
-        Detector.H: h_total,
-    }
-    return {
-        det: IntensityRecord(
-            scenario=scenario,
-            detector=det,
-            intensity_norm=value,
-            intensity_cps=value * scale / I_REF_NORM,
-            scale_ref_cps=scale,
-        )
-        for det, value in readings.items()
-    }
+    """Simulate one scenario and return one record per detector (see :func:`count_rate`)."""
+    scale = _scale(scale_ref_cps)
+    records = _records([scenario], run_batch(scenario), scale)
+    return {rec.detector: rec for rec in records}
 
 
 def closed_form_o(scenario: Scenario) -> float:
@@ -227,12 +310,11 @@ def sweep_chi(
     scale_ref_cps: float = DEFAULT_SCALE_REF_CPS,
 ) -> list[IntensityRecord]:
     """Run the template at each phase value; three records per grid point."""
-    records: list[IntensityRecord] = []
-    for chi in chi_values:
-        scenario = dataclasses.replace(template, chi_rad=float(chi))
-        result = run(scenario, scale_ref_cps)
-        records.extend(result[det] for det in Detector)
-    return records
+    scale = _scale(scale_ref_cps)
+    chi = np.fromiter(chi_values, dtype=float)
+    readings = run_batch(template, chi_rad=chi)
+    scenarios = [dataclasses.replace(template, chi_rad=value) for value in chi.tolist()]
+    return _records(scenarios, readings, scale)
 
 
 def sweep_alpha(
@@ -243,10 +325,11 @@ def sweep_alpha(
     """Run the template at each rotation angle; requires a magnet insertion."""
     if not isinstance(template.insertion, Magnet):
         raise ValueError("sweep_alpha requires a scenario with a magnet insertion")
-    records: list[IntensityRecord] = []
-    for alpha in alpha_values:
-        magnet = dataclasses.replace(template.insertion, alpha_rad=float(alpha))
-        scenario = dataclasses.replace(template, insertion=magnet)
-        result = run(scenario, scale_ref_cps)
-        records.extend(result[det] for det in Detector)
-    return records
+    scale = _scale(scale_ref_cps)
+    alpha = np.fromiter(alpha_values, dtype=float)
+    readings = run_batch(template, alpha_rad=alpha)
+    scenarios = [
+        dataclasses.replace(template, insertion=dataclasses.replace(template.insertion, alpha_rad=value))
+        for value in alpha.tolist()
+    ]
+    return _records(scenarios, readings, scale)

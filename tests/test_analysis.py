@@ -59,11 +59,33 @@ class TestTruncationScan:
         with pytest.raises(ValueError):
             fit_loglog_slope([0.1, 0.2, 0.3], [1e-16, 1e-15, 1e-14])
 
+    @pytest.mark.parametrize(
+        "x, errors",
+        [
+            ([0.0, 1.0, 2.0, 3.0], [1.0, 2.0, 3.0, 4.0]),
+            ([-1.0, 1.0, 2.0, 3.0], [1.0, 2.0, 3.0, 4.0]),
+            ([math.inf, 1.0, 2.0, 3.0], [1.0, 2.0, 3.0, 4.0]),
+            ([0.5, 1.0, 2.0, 3.0], [math.nan, 2.0, 3.0, 4.0]),
+            ([0.5, 1.0, 2.0, 3.0], [-1.0, 2.0, 3.0, 4.0]),
+            ([0.5, 1.0, 2.0], [1.0, 2.0, 3.0, 4.0]),
+        ],
+    )
+    def test_fit_rejects_bad_points_with_value_error(self, x, errors):
+        # log(0) = -inf used to reach np.polyfit and fail inside LAPACK
+        with pytest.raises(ValueError):
+            fit_loglog_slope(x, errors)
+
 
 class TestCheshireWitness:
     def test_linear_deficit_is_zero(self):
         for alpha in (0.01, 0.1, math.radians(20), 1.0):
             assert cheshire_witness(alpha).deficit_linear == pytest.approx(0.0, abs=1e-12)
+
+    def test_linear_deficit_is_exactly_zero(self):
+        # the readout scales by powers of two only, so "identically zero"
+        # holds in floating point too
+        for alpha in np.geomspace(1e-3, 3.0, 2000):
+            assert cheshire_witness(float(alpha)).deficit_linear == 0.0
 
     def test_exact_deficit_at_20_degrees(self):
         witness = cheshire_witness(math.radians(20))
@@ -122,6 +144,12 @@ class TestPoissonCounts:
             poisson_counts(-1.0, 10.0, seed=0)
         with pytest.raises(ValueError):
             poisson_counts(1.0, 0.0, seed=0)
+
+    @pytest.mark.parametrize("rate, sigma", [(1.0, 1e-200), (1e300, 1e-10)])
+    def test_duration_rejects_unrepresentable_times(self, rate, sigma):
+        # sigma^2 underflows to 0, or the duration overflows to inf
+        with pytest.raises(ValueError):
+            duration_for_rate_sigma(rate, sigma)
 
 
 class TestBenchmarkTable:

@@ -1,0 +1,143 @@
+"""The batched path-block pipeline against the 4x4 Kronecker route.
+
+``run_batch`` never builds a joint operator.  The reference below goes the
+long way, through the element factories, ``qcore.apply``, ``recombine``
+and ``spin_select_minus``, and the two must agree over the whole scenario
+space: no insertion, an absorber of any transmissivity, or a magnet on
+either path with any truncation.
+"""
+
+import dataclasses
+import math
+import warnings
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cheshire import elements, qcore
+from cheshire.elements import Truncation
+from cheshire.experiment import (
+    Absorber,
+    Detector,
+    Magnet,
+    Scenario,
+    initial_state,
+    run,
+    run_batch,
+    sweep_alpha,
+    sweep_chi,
+)
+from cheshire.qcore import Path
+
+# Agreement bound, in units of the spacing of the largest reading.
+ULPS = 8
+
+paths = st.sampled_from(list(Path))
+insertions = st.one_of(
+    st.none(),
+    st.builds(Absorber, paths, st.floats(0.0, 1.0)),
+    st.builds(Magnet, paths, st.floats(-3.0, 3.0), st.sampled_from(list(Truncation))),
+)
+scenarios = st.builds(Scenario, insertions, st.floats(-7.0, 7.0))
+angles = st.lists(st.floats(-3.0, 3.0), max_size=6)
+phases = st.lists(st.floats(-7.0, 7.0), max_size=6)
+
+
+def reference(scenario: Scenario) -> np.ndarray:
+    """[O_selected, O_unselected, H] by the 4x4 joint-operator pipeline."""
+    ins = scenario.insertion
+    state = initial_state()
+    if isinstance(ins, Absorber):
+        state = qcore.apply(elements.absorber(ins.path, ins.transmissivity), state)
+    elif isinstance(ins, Magnet):
+        rotation = elements.magnetic_rotation(ins.path, ins.alpha_rad, ins.truncation)
+        state = qcore.apply(rotation, state)
+    state = qcore.apply(elements.phase_shifter(scenario.chi_rad), state)
+    amp_o, amp_h = elements.recombine(state)
+    return np.array(
+        [
+            abs(elements.spin_select_minus(amp_o)) ** 2,
+            np.vdot(amp_o, amp_o).real,
+            np.vdot(amp_h, amp_h).real,
+        ]
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(scenarios)
+def test_agrees_with_kronecker_route(scenario):
+    expected = reference(scenario)
+    got = run_batch(scenario)
+    assert got.shape == (1, 3)
+    bound = ULPS * np.spacing(expected.max())
+    assert np.abs(got[0] - expected).max() <= bound
+
+
+@settings(max_examples=100, deadline=None)
+@given(scenarios, phases, angles)
+def test_sweeps_equal_per_point_runs(template, chi_values, alpha_values):
+    # N = 1 is the same kernel, so a sweep and a loop of runs agree exactly
+    expected = [
+        rec
+        for chi in chi_values
+        for rec in run(dataclasses.replace(template, chi_rad=chi), 20.0).values()
+    ]
+    assert sweep_chi(template, chi_values, 20.0) == expected
+    if isinstance(template.insertion, Magnet):
+        expected = []
+        for alpha in alpha_values:
+            magnet = dataclasses.replace(template.insertion, alpha_rad=alpha)
+            expected.extend(run(dataclasses.replace(template, insertion=magnet), 20.0).values())
+        assert sweep_alpha(template, alpha_values, 20.0) == expected
+
+
+class TestRunBatch:
+    def test_columns_follow_detector_order(self):
+        template = Scenario(insertion=Magnet(Path.I, 0.4))
+        readings = run_batch(template, chi_rad=[0.0, 1.0, 2.0])
+        assert readings.shape == (3, 3)
+        for row, chi in zip(readings, [0.0, 1.0, 2.0]):
+            result = run(dataclasses.replace(template, chi_rad=chi))
+            assert list(row) == [result[det].intensity_norm for det in Detector]
+
+    def test_both_grids_broadcast(self):
+        template = Scenario(insertion=Magnet(Path.II, 0.0, Truncation.QUADRATIC))
+        readings = run_batch(template, chi_rad=[0.1, 0.2], alpha_rad=[0.3, 0.4])
+        for row, (chi, alpha) in zip(readings, [(0.1, 0.3), (0.2, 0.4)]):
+            point = Scenario(insertion=Magnet(Path.II, alpha, Truncation.QUADRATIC), chi_rad=chi)
+            assert list(row) == list(run_batch(point)[0])
+        assert run_batch(template, chi_rad=0.5, alpha_rad=[0.3, 0.4]).shape == (2, 3)
+
+    def test_empty_grid(self):
+        assert run_batch(Scenario(), chi_rad=[]).shape == (0, 3)
+        assert sweep_chi(Scenario(), []) == []
+
+    def test_rejects_bad_grids(self):
+        with pytest.raises(ValueError, match="magnet"):
+            run_batch(Scenario(), alpha_rad=[0.1])
+        with pytest.raises(ValueError, match="finite"):
+            run_batch(Scenario(), chi_rad=[0.0, math.nan])
+        with pytest.raises(ValueError, match="one-dimensional"):
+            run_batch(Scenario(), chi_rad=np.zeros((2, 2)))
+        with pytest.raises(ValueError, match="differ in length"):
+            run_batch(Scenario(insertion=Magnet(Path.I, 0.1)), chi_rad=[0, 1], alpha_rad=[0, 1, 2])
+
+    @pytest.mark.parametrize(
+        "scenario, value",
+        [
+            (Scenario(insertion=Magnet(Path.I, 1e200, Truncation.LINEAR)), "alpha_rad=1e+200"),
+            (Scenario(insertion=Magnet(Path.II, -1e160, Truncation.QUADRATIC)), "alpha_rad=-1e+160"),
+        ],
+    )
+    def test_overflow_raises_value_error_without_warnings(self, scenario, value):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=value.replace("+", r"\+")):
+                run(scenario)
+
+    def test_overflow_names_first_bad_point(self):
+        template = Scenario(insertion=Magnet(Path.I, 0.0, Truncation.LINEAR))
+        with pytest.raises(ValueError, match=r"alpha_rad=1e\+300"):
+            run_batch(template, alpha_rad=[0.1, 1e300, 1e301])

@@ -81,6 +81,23 @@ class TestRunCommand:
         assert table_value(out, "O_selected", 2) == pytest.approx(100.0, abs=1e-9)
 
 
+class TestNonFiniteReadings:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--insertion", "magnet", "--path", "I", "--alpha-rad", "1e200",
+             "--truncation", "linear"],
+            ["analyze", "--path", "I", "--alpha-max", "1e160"],
+        ],
+    )
+    def test_overflow_is_an_error_line(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert err.startswith("error: ") and "not finite" in err
+        assert "Traceback" not in err
+        assert "inf" not in out
+
+
 class TestUsageErrors:
     def test_missing_magnet_path_exits_1(self, capsys):
         code, _, err = run_cli(capsys, "run", "--insertion", "magnet", "--alpha-deg", "20")

@@ -57,6 +57,12 @@ class TestRunAnchors:
         assert result[Detector.O_SELECTED].intensity_norm == pytest.approx(0.25, abs=1e-12)
         assert result[Detector.O_SELECTED].intensity_cps == pytest.approx(11.25, abs=1e-10)
 
+    def test_empty_beamline_reference_is_exactly_a_quarter(self):
+        # the readout's 1/sqrt(2) factors are folded into powers of two
+        result = run(Scenario())
+        assert result[Detector.O_SELECTED].intensity_norm == 0.25
+        assert result[Detector.O_SELECTED].intensity_cps == 11.25
+
     def test_magnet_path_II_20_degrees(self):
         cps = run(Scenario(insertion=Magnet(Path.II, ALPHA_20)))[Detector.O_SELECTED].intensity_cps
         assert cps == pytest.approx(11.25 * math.cos(ALPHA_20 / 2) ** 2, abs=1e-10)
