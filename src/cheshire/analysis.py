@@ -22,7 +22,9 @@ from .experiment import (
     I_REF_NORM,
     Magnet,
     Scenario,
+    _require_scale,
     closed_form_o,
+    count_rate,
     run_batch,
 )
 from .qcore import Path
@@ -237,9 +239,7 @@ def reproduce_benchmark_table(
     combined sigma adds the calibration-propagated theory uncertainty and
     the measured uncertainty in quadrature.
     """
-    scale = float(scale_ref_cps)
-    if not (math.isfinite(scale) and scale > 0.0):
-        raise ValueError(f"scale_ref_cps must be positive, got {scale_ref_cps!r}")
+    scale = _require_scale(scale_ref_cps)
 
     theory_norms = {
         "I_ref": I_REF_NORM,
@@ -254,8 +254,8 @@ def reproduce_benchmark_table(
     rows = []
     for quantity, measured, measured_sigma in PUBLISHED_BENCHMARKS:
         norm = theory_norms[quantity]
-        theory = norm * scale / I_REF_NORM
-        theory_sigma = REF_CALIBRATION_SIGMA_CPS * norm / I_REF_NORM
+        theory = count_rate(norm, scale)
+        theory_sigma = count_rate(norm, REF_CALIBRATION_SIGMA_CPS)
         combined = math.hypot(theory_sigma, measured_sigma)
         rows.append(
             ComparisonRow(

@@ -10,8 +10,8 @@ finds a theory/measurement disagreement.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import math
+import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path as FilePath
@@ -27,6 +27,7 @@ from .experiment import (
     Detector,
     Magnet,
     Scenario,
+    _require_scale,
     count_rate,
     run,
     run_batch,
@@ -46,30 +47,34 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DISAGREE = 2
 
-CONFIG_KEYS = (
-    "insertion",
-    "path",
-    "alpha_deg",
-    "alpha_rad",
-    "transmissivity",
-    "chi_deg",
-    "chi_rad",
-    "truncation",
-    "scale_ref_cps",
-)
+# Upper bound on the --points of sweep and analyze: the grid and its CSV
+# are built in memory, so an absurd count would fail inside numpy.
+MAX_POINTS = 100_000
 
 
 class CliError(Exception):
     """Usage or configuration error; mapped to exit code 1."""
 
 
+# Insertion -> the optional fields it uses, each marked required or not.
+# A field that no entry lists for the chosen insertion must stay unset.
+_INSERTION_FIELDS = {
+    "none": {},
+    "absorber": {"path": True, "transmissivity": True},
+    "magnet": {"path": True, "alpha_rad": True, "truncation": False},
+}
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Validated scenario settings in canonical (radian) form.
 
-    ``None`` means "not set"; cross-field rules are enforced here so that a
-    config is either rejected with a message or guaranteed convertible to a
-    :class:`Scenario`.
+    ``None`` means "not set".  Construction checks only which fields the
+    insertion requires and allows.  The value rules (finite angles, T in
+    [0, 1], a positive scale) are those of :class:`Scenario` and of the
+    count rate, applied by building :meth:`to_scenario` and checking the
+    scale, so a config is either rejected with a message or convertible to
+    a :class:`Scenario`.
     """
 
     insertion: str = "none"
@@ -81,32 +86,18 @@ class ScenarioConfig:
     scale_ref_cps: float = DEFAULT_SCALE_REF_CPS
 
     def __post_init__(self) -> None:
-        if self.insertion not in ("none", "absorber", "magnet"):
-            raise ValueError(f"insertion must be none, absorber or magnet, got {self.insertion!r}")
-        if not math.isfinite(self.chi_rad):
-            raise ValueError(f"chi must be finite, got {self.chi_rad!r}")
-        if not (math.isfinite(self.scale_ref_cps) and self.scale_ref_cps > 0.0):
-            raise ValueError(f"scale_ref_cps must be positive, got {self.scale_ref_cps!r}")
-        if self.insertion == "none":
-            for name in ("path", "alpha_rad", "transmissivity", "truncation"):
-                if getattr(self, name) is not None:
-                    raise ValueError(f"{name} requires insertion = absorber or magnet")
-        elif self.insertion == "absorber":
-            if self.path is None:
-                raise ValueError("insertion = absorber requires a path")
-            if self.transmissivity is None:
-                raise ValueError("insertion = absorber requires a transmissivity")
-            if self.alpha_rad is not None:
-                raise ValueError("alpha requires insertion = magnet")
-            if self.truncation is not None:
-                raise ValueError("truncation requires insertion = magnet")
-        else:
-            if self.path is None:
-                raise ValueError("insertion = magnet requires a path")
-            if self.alpha_rad is None:
-                raise ValueError("insertion = magnet requires an alpha")
-            if self.transmissivity is not None:
-                raise ValueError("transmissivity requires insertion = absorber")
+        uses = _INSERTION_FIELDS[_parse_value("insertion", self.insertion)]
+        optional = dict.fromkeys(f for fields in _INSERTION_FIELDS.values() for f in fields)
+        for field in optional:
+            name = field.removesuffix("_rad")
+            if getattr(self, field) is None:
+                if uses.get(field):
+                    raise ValueError(f"insertion = {self.insertion} requires {name}")
+            elif field not in uses:
+                users = [ins for ins, fields in _INSERTION_FIELDS.items() if field in fields]
+                raise ValueError(f"{name} requires insertion = {' or '.join(users)}")
+        self.to_scenario()
+        _require_scale(self.scale_ref_cps)
 
     def to_scenario(self) -> Scenario:
         if self.insertion == "absorber":
@@ -124,33 +115,63 @@ class ScenarioConfig:
         return Scenario(insertion=ins, chi_rad=self.chi_rad)
 
 
-def _parse_float(key: str, text: str) -> float:
+# Config key -> (ScenarioConfig field, how its text converts).  The
+# conversion is a dict of the allowed spellings, or a function applied to
+# the number the text spells.  The degree keys land on the radian fields;
+# each key is also a run/sweep flag (alpha_deg <-> --alpha-deg).  The order
+# is the order format_scenario_config writes.
+_KEYS = {
+    "insertion": ("insertion", {name: name for name in _INSERTION_FIELDS}),
+    "path": ("path", {path.name: path for path in Path}),
+    "alpha_deg": ("alpha_rad", math.radians),
+    "alpha_rad": ("alpha_rad", float),
+    "transmissivity": ("transmissivity", float),
+    "truncation": ("truncation", {t.value: t for t in Truncation}),
+    "chi_deg": ("chi_rad", math.radians),
+    "chi_rad": ("chi_rad", float),
+    "scale_ref_cps": ("scale_ref_cps", float),
+}
+
+CONFIG_KEYS = tuple(_KEYS)
+
+
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
+
+
+def _parse_value(key: str, text: str) -> object:
+    convert = _KEYS[key][1]
+    if isinstance(convert, dict):
+        if text not in convert:
+            *head, last = convert
+            raise ValueError(f"{key} must be {', '.join(head)} or {last}, got {text!r}")
+        return convert[text]
     try:
-        return float(text)
+        number = float(text)
     except ValueError:
         raise ValueError(f"{key}: expected a number, got {text!r}") from None
+    return convert(number)
 
 
-def _parse_path(text: str) -> Path:
-    try:
-        return Path[text]
-    except KeyError:
-        raise ValueError(f"path must be I or II, got {text!r}") from None
+def _fields(pairs: dict[str, str], spell=str) -> dict[str, object]:
+    """ScenarioConfig fields from one source's key -> text pairs.
 
-
-def _parse_truncation(text: str) -> Truncation:
-    try:
-        return Truncation(text)
-    except ValueError:
-        raise ValueError(f"truncation must be exact, linear or quadratic, got {text!r}") from None
-
-
-def parse_scenario_config(text: str) -> ScenarioConfig:
-    """Parse a flat ``key = value`` config (one pair per line, ``#`` comments).
-
-    Unknown and duplicate keys are errors, as is giving both the degree and
-    radian spelling of the same angle.
+    Two keys of the same field (an angle in degrees and in radians) are an
+    error; ``spell`` names a key in that message.
     """
+    fields: dict[str, object] = {}
+    given: dict[str, str] = {}
+    for key, (field, _) in _KEYS.items():
+        if key not in pairs:
+            continue
+        if field in given:
+            raise ValueError(f"give at most one of {spell(given[field])} and {spell(key)}")
+        given[field] = key
+        fields[field] = _parse_value(key, pairs[key])
+    return fields
+
+
+def _file_fields(text: str) -> dict[str, object]:
     pairs: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -161,52 +182,35 @@ def parse_scenario_config(text: str) -> ScenarioConfig:
         value = value.strip()
         if not sep or not key or not value:
             raise ValueError(f"config line {lineno}: expected 'key = value', got {raw!r}")
-        if key not in CONFIG_KEYS:
+        if key not in _KEYS:
             raise ValueError(f"config line {lineno}: unknown key {key!r}")
         if key in pairs:
             raise ValueError(f"config line {lineno}: duplicate key {key!r}")
         pairs[key] = value
+    return _fields(pairs)
 
-    if "alpha_deg" in pairs and "alpha_rad" in pairs:
-        raise ValueError("give at most one of alpha_deg and alpha_rad")
-    if "chi_deg" in pairs and "chi_rad" in pairs:
-        raise ValueError("give at most one of chi_deg and chi_rad")
 
-    fields: dict[str, object] = {}
-    if "insertion" in pairs:
-        fields["insertion"] = pairs["insertion"]
-    if "path" in pairs:
-        fields["path"] = _parse_path(pairs["path"])
-    if "alpha_deg" in pairs:
-        fields["alpha_rad"] = math.radians(_parse_float("alpha_deg", pairs["alpha_deg"]))
-    if "alpha_rad" in pairs:
-        fields["alpha_rad"] = _parse_float("alpha_rad", pairs["alpha_rad"])
-    if "transmissivity" in pairs:
-        fields["transmissivity"] = _parse_float("transmissivity", pairs["transmissivity"])
-    if "chi_deg" in pairs:
-        fields["chi_rad"] = math.radians(_parse_float("chi_deg", pairs["chi_deg"]))
-    if "chi_rad" in pairs:
-        fields["chi_rad"] = _parse_float("chi_rad", pairs["chi_rad"])
-    if "truncation" in pairs:
-        fields["truncation"] = _parse_truncation(pairs["truncation"])
-    if "scale_ref_cps" in pairs:
-        fields["scale_ref_cps"] = _parse_float("scale_ref_cps", pairs["scale_ref_cps"])
-    return ScenarioConfig(**fields)
+def parse_scenario_config(text: str) -> ScenarioConfig:
+    """Parse a flat ``key = value`` config (one pair per line, ``#`` comments).
+
+    Unknown and duplicate keys are errors, as is giving both the degree and
+    radian spelling of the same angle.
+    """
+    return ScenarioConfig(**_file_fields(text))
 
 
 def format_scenario_config(config: ScenarioConfig) -> str:
     """Serialize a config in canonical radian form; re-parsing reproduces it exactly."""
-    lines = [f"insertion = {config.insertion}"]
-    if config.path is not None:
-        lines.append(f"path = {config.path.name}")
-    if config.alpha_rad is not None:
-        lines.append(f"alpha_rad = {config.alpha_rad!r}")
-    if config.transmissivity is not None:
-        lines.append(f"transmissivity = {config.transmissivity!r}")
-    if config.truncation is not None:
-        lines.append(f"truncation = {config.truncation.value}")
-    lines.append(f"chi_rad = {config.chi_rad!r}")
-    lines.append(f"scale_ref_cps = {config.scale_ref_cps!r}")
+    lines = []
+    for key, (field, convert) in _KEYS.items():
+        value = getattr(config, field)
+        if key != field or value is None:
+            continue
+        if isinstance(convert, dict):
+            text = next(spelling for spelling, v in convert.items() if v == value)
+        else:
+            text = repr(value)
+        lines.append(f"{key} = {text}")
     return "\n".join(lines) + "\n"
 
 
@@ -217,52 +221,23 @@ class _Parser(argparse.ArgumentParser):
 
 def _add_scenario_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="flat key = value scenario file")
-    sub.add_argument("--insertion", choices=["none", "absorber", "magnet"])
-    sub.add_argument("--path", choices=["I", "II"])
-    sub.add_argument("--alpha-deg", dest="alpha_deg", type=float)
-    sub.add_argument("--alpha-rad", dest="alpha_rad", type=float)
-    sub.add_argument("--transmissivity", type=float)
-    sub.add_argument("--chi-deg", dest="chi_deg", type=float)
-    sub.add_argument("--chi-rad", dest="chi_rad", type=float)
-    sub.add_argument("--truncation", choices=["exact", "linear", "quadratic"])
-    sub.add_argument("--scale-ref-cps", dest="scale_ref_cps", type=float)
+    for key, (_, convert) in _KEYS.items():
+        metavar = "{" + ",".join(convert) + "}" if isinstance(convert, dict) else None
+        sub.add_argument(_flag(key), metavar=metavar)
 
 
 def _merged_config(args: argparse.Namespace) -> ScenarioConfig:
+    """The config file's fields, overlaid by the fields of the flags given."""
+    fields: dict[str, object] = {}
     if args.config is not None:
         try:
             text = FilePath(args.config).read_text(encoding="utf-8")
         except OSError as exc:
             raise CliError(f"cannot read config file: {exc}") from None
-        config = parse_scenario_config(text)
-    else:
-        config = ScenarioConfig()
-
-    if args.alpha_deg is not None and args.alpha_rad is not None:
-        raise CliError("give at most one of --alpha-deg and --alpha-rad")
-    if args.chi_deg is not None and args.chi_rad is not None:
-        raise CliError("give at most one of --chi-deg and --chi-rad")
-
-    updates: dict[str, object] = {}
-    if args.insertion is not None:
-        updates["insertion"] = args.insertion
-    if args.path is not None:
-        updates["path"] = _parse_path(args.path)
-    if args.alpha_deg is not None:
-        updates["alpha_rad"] = math.radians(args.alpha_deg)
-    if args.alpha_rad is not None:
-        updates["alpha_rad"] = args.alpha_rad
-    if args.transmissivity is not None:
-        updates["transmissivity"] = args.transmissivity
-    if args.chi_deg is not None:
-        updates["chi_rad"] = math.radians(args.chi_deg)
-    if args.chi_rad is not None:
-        updates["chi_rad"] = args.chi_rad
-    if args.truncation is not None:
-        updates["truncation"] = _parse_truncation(args.truncation)
-    if args.scale_ref_cps is not None:
-        updates["scale_ref_cps"] = args.scale_ref_cps
-    return dataclasses.replace(config, **updates)
+        fields = _file_fields(text)
+    flags = {key: getattr(args, key) for key in _KEYS if getattr(args, key) is not None}
+    fields.update(_fields(flags, spell=_flag))
+    return ScenarioConfig(**fields)
 
 
 def _num(value: float) -> str:
@@ -319,9 +294,19 @@ def _write_csv(path_text: str | None, lines: list[str]) -> None:
     payload = ("\n".join(lines) + "\n").encode("utf-8")
     if path_text is None:
         sys.stdout.write(payload.decode("utf-8"))
-    else:
-        FilePath(path_text).write_bytes(payload)
-        print(f"wrote {len(lines) - 1} rows to {path_text}")
+        return
+    # Write a sibling file and rename it over the target, so a failed
+    # write never leaves a partial CSV in place of the old one.
+    target = FilePath(path_text)
+    partial = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+    try:
+        with open(partial, "wb") as handle:
+            handle.write(payload)
+        os.replace(partial, target)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
+    print(f"wrote {len(lines) - 1} rows to {path_text}")
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -350,8 +335,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         stop = 0.3 if args.stop is None else args.stop
         points = 50 if args.points is None else args.points
 
-    if points < 2:
-        raise CliError("--points must be at least 2")
+    if not 2 <= points <= MAX_POINTS:
+        raise CliError(f"--points must be between 2 and {MAX_POINTS}")
     if not (math.isfinite(start) and math.isfinite(stop) and start < stop):
         raise CliError("--start must be less than --stop")
 
@@ -419,9 +404,9 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    path = _parse_path(args.path)
-    if args.points < 10:
-        raise CliError("--points must be at least 10")
+    path = Path[args.path]
+    if not 10 <= args.points <= MAX_POINTS:
+        raise CliError(f"--points must be between 10 and {MAX_POINTS}")
     if not (0.0 < args.alpha_min < args.alpha_max):
         raise CliError("need 0 < --alpha-min < --alpha-max")
     grid = np.geomspace(args.alpha_min, args.alpha_max, args.points)

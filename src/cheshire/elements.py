@@ -17,6 +17,7 @@ Conventions fixed here and relied on everywhere else:
 
 from __future__ import annotations
 
+import math
 from enum import Enum
 
 import numpy as np
@@ -57,9 +58,16 @@ def _other(path: Path) -> Path:
 
 def _require_finite(name: str, value: float) -> float:
     value = float(value)
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value!r}")
     return value
+
+
+def _require_transmissivity(value: float) -> float:
+    t = _require_finite("transmissivity", value)
+    if not 0.0 <= t <= 1.0:
+        raise ValueError(f"transmissivity must lie in [0, 1], got {t}")
+    return t
 
 
 def spin_rotation_matrix(alpha_rad: float, truncation: Truncation = Truncation.EXACT) -> np.ndarray:
@@ -108,11 +116,8 @@ def absorber(path: Path, transmissivity: float) -> JointOperator:
     """
     if not isinstance(path, Path):
         raise TypeError(f"path must be a Path, got {path!r}")
-    t = _require_finite("transmissivity", transmissivity)
-    if not 0.0 <= t <= 1.0:
-        raise ValueError(f"transmissivity must lie in [0, 1], got {t}")
     scales = np.eye(2, dtype=complex)
-    scales[path.value, path.value] = np.sqrt(t)
+    scales[path.value, path.value] = np.sqrt(_require_transmissivity(transmissivity))
     return tensor(ID2, scales)
 
 

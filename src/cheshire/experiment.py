@@ -37,7 +37,7 @@ from typing import Iterable, Union
 
 import numpy as np
 
-from .elements import Truncation
+from .elements import Truncation, _require_finite, _require_transmissivity
 from .qcore import JointState, Path
 
 __all__ = [
@@ -66,13 +66,6 @@ I_REF_NORM = 0.25
 DEFAULT_SCALE_REF_CPS = 11.25
 
 
-def _require_finite(name: str, value: float) -> float:
-    value = float(value)
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value!r}")
-    return value
-
-
 @dataclass(frozen=True)
 class Absorber:
     """Partial absorber of intensity transmissivity ``transmissivity`` on ``path``."""
@@ -83,10 +76,7 @@ class Absorber:
     def __post_init__(self) -> None:
         if not isinstance(self.path, Path):
             raise TypeError(f"path must be a Path, got {self.path!r}")
-        t = _require_finite("transmissivity", self.transmissivity)
-        if not 0.0 <= t <= 1.0:
-            raise ValueError(f"transmissivity must lie in [0, 1], got {t}")
-        object.__setattr__(self, "transmissivity", t)
+        object.__setattr__(self, "transmissivity", _require_transmissivity(self.transmissivity))
 
 
 @dataclass(frozen=True)
@@ -245,7 +235,7 @@ def run_batch(template: Scenario, *, chi_rad=None, alpha_rad=None) -> np.ndarray
     return readings
 
 
-def _scale(scale_ref_cps: float) -> float:
+def _require_scale(scale_ref_cps: float) -> float:
     scale = _require_finite("scale_ref_cps", scale_ref_cps)
     if scale <= 0.0:
         raise ValueError(f"scale_ref_cps must be positive, got {scale}")
@@ -274,7 +264,7 @@ def run(
     scenario: Scenario, scale_ref_cps: float = DEFAULT_SCALE_REF_CPS
 ) -> dict[Detector, IntensityRecord]:
     """Simulate one scenario and return one record per detector (see :func:`count_rate`)."""
-    scale = _scale(scale_ref_cps)
+    scale = _require_scale(scale_ref_cps)
     records = _records([scenario], run_batch(scenario), scale)
     return {rec.detector: rec for rec in records}
 
@@ -310,7 +300,7 @@ def sweep_chi(
     scale_ref_cps: float = DEFAULT_SCALE_REF_CPS,
 ) -> list[IntensityRecord]:
     """Run the template at each phase value; three records per grid point."""
-    scale = _scale(scale_ref_cps)
+    scale = _require_scale(scale_ref_cps)
     chi = np.fromiter(chi_values, dtype=float)
     readings = run_batch(template, chi_rad=chi)
     scenarios = [dataclasses.replace(template, chi_rad=value) for value in chi.tolist()]
@@ -323,9 +313,7 @@ def sweep_alpha(
     scale_ref_cps: float = DEFAULT_SCALE_REF_CPS,
 ) -> list[IntensityRecord]:
     """Run the template at each rotation angle; requires a magnet insertion."""
-    if not isinstance(template.insertion, Magnet):
-        raise ValueError("sweep_alpha requires a scenario with a magnet insertion")
-    scale = _scale(scale_ref_cps)
+    scale = _require_scale(scale_ref_cps)
     alpha = np.fromiter(alpha_values, dtype=float)
     readings = run_batch(template, alpha_rad=alpha)
     scenarios = [

@@ -1,10 +1,12 @@
 import math
+import os
 
 import numpy as np
 import pytest
 
 from cheshire import analysis, experiment
 from cheshire.cli import (
+    MAX_POINTS,
     ScenarioConfig,
     format_scenario_config,
     main,
@@ -454,3 +456,90 @@ def test_sweep_grid_defaults_match_documentation(capsys, tmp_path):
     assert alphas[-1] == pytest.approx(0.3, rel=1e-12)
     ratios = np.diff(np.log(alphas))
     assert np.allclose(ratios, ratios[0], rtol=1e-9)
+
+
+class TestOneValidationLayer:
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            dict(insertion="absorber", path=Path.I, transmissivity=1.5),
+            dict(insertion="absorber", path=Path.I, transmissivity=math.nan),
+            dict(insertion="magnet", path=Path.I, alpha_rad=math.inf),
+            dict(chi_rad=math.nan),
+            dict(scale_ref_cps=0.0),
+        ],
+    )
+    def test_config_rejects_what_its_scenario_rejects(self, fields):
+        with pytest.raises(ValueError):
+            ScenarioConfig(**fields)
+
+    @pytest.mark.parametrize(
+        "key, text",
+        [("insertion", "foo"), ("path", "III"), ("truncation", "cubic"), ("chi_deg", "abc")],
+    )
+    def test_flag_and_file_share_one_parse(self, capsys, tmp_path, key, text):
+        cfg = tmp_path / "scenario.cfg"
+        cfg.write_text(f"{key} = {text}\n", encoding="utf-8")
+        code_file, _, err_file = run_cli(capsys, "run", "--config", str(cfg))
+        code_flag, _, err_flag = run_cli(capsys, "run", "--" + key.replace("_", "-"), text)
+        assert code_file == code_flag == 1
+        assert err_file == err_flag
+        assert err_flag.startswith(f"error: {key}")
+
+    def test_flags_complete_a_partial_config_file(self, capsys, tmp_path):
+        cfg = tmp_path / "scenario.cfg"
+        cfg.write_text("insertion = magnet\n", encoding="utf-8")
+        code, out, _ = run_cli(
+            capsys, "run", "--config", str(cfg), "--path", "II", "--alpha-deg", "20"
+        )
+        assert code == 0
+        assert table_value(out, "O_selected", 2) == pytest.approx(10.9107709919, abs=1e-9)
+
+
+class TestPointsBound:
+    @pytest.mark.parametrize("points", ["1000000000000", str(MAX_POINTS + 1)])
+    @pytest.mark.parametrize(
+        "argv, least",
+        [(["sweep", "--vary", "chi"], 2), (["analyze", "--path", "I"], 10)],
+    )
+    def test_too_many_points_is_an_error_line(self, capsys, argv, least, points):
+        code, out, err = run_cli(capsys, *argv, "--points", points)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: --points must be between {least} and {MAX_POINTS}\n"
+
+    def test_bound_admits_a_large_sweep(self, capsys, tmp_path):
+        out_csv = tmp_path / "large.csv"
+        code, out, _ = run_cli(
+            capsys, "sweep", "--vary", "chi", "--points", "24000", "--csv", str(out_csv)
+        )
+        assert code == 0
+        assert out == f"wrote 72000 rows to {out_csv}\n"
+
+
+class TestCsvReplacement:
+    ARGS = ["sweep", "--vary", "chi", "--points", "5"]
+
+    def test_failed_rename_keeps_old_file(self, capsys, tmp_path, monkeypatch):
+        out_csv = tmp_path / "sweep.csv"
+        out_csv.write_bytes(b"old contents\n")
+
+        def refuse(src, dst):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        code, out, err = run_cli(capsys, *self.ARGS, "--csv", str(out_csv))
+        assert code == 1
+        assert out == ""
+        assert err == "error: rename refused\n"
+        assert out_csv.read_bytes() == b"old contents\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["sweep.csv"]
+
+    def test_replaces_existing_file(self, capsys, tmp_path):
+        out_csv = tmp_path / "sweep.csv"
+        out_csv.write_bytes(b"old contents\n")
+        code, out, _ = run_cli(capsys, *self.ARGS, "--csv", str(out_csv))
+        assert code == 0
+        assert out == f"wrote 15 rows to {out_csv}\n"
+        assert out_csv.read_text(encoding="utf-8").startswith("scenario_id,")
+        assert [p.name for p in tmp_path.iterdir()] == ["sweep.csv"]
