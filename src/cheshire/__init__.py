@@ -5,11 +5,12 @@ spin marking (plus on path I, minus on path II), optional per-path
 absorbers or small spin rotations, a tunable relative phase, and
 post-selected detection.  Detector intensities come from one numpy pass
 over an ``(N, path, spin)`` amplitude array (``experiment.run_batch``);
-the exact 4-dimensional matrix algebra of ``qcore`` and ``elements``
-underlies the weak values, with intensity-based estimators, and serves as
-the independent reference for the batched pipeline.  An analyzer pins
-down which Taylor order of the rotation operator a given intensity
-effect lives at.
+the canonical weak values come from the same ``(path, spin)`` arrays, and
+intensity-based estimators pull them back out.  The exact 4-dimensional
+matrix algebra of ``qcore`` and ``elements`` serves ``weak_value`` for
+arbitrary operators and is the independent reference for both.  An
+analyzer pins down which Taylor order of the rotation operator a given
+intensity effect lives at.
 """
 
 from .analysis import (

@@ -4,7 +4,8 @@ Subcommands: run, sweep, weakvalues, reproduce, analyze.  Scenario options
 can come from flags, from a flat ``key = value`` config file (``--config``),
 or both, with flags taking precedence.  Exit codes: 0 on success (and on
 benchmark agreement), 1 on usage or validation errors, 2 when ``reproduce``
-finds a theory/measurement disagreement.
+finds a theory/measurement disagreement, 141 when the reader of standard
+output closes the pipe early (nothing is printed then).
 """
 
 from __future__ import annotations
@@ -12,8 +13,9 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import re
 import sys
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from pathlib import Path as FilePath
 
 import numpy as np
@@ -46,10 +48,14 @@ __all__ = [
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DISAGREE = 2
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a process the signal ended
 
 # Upper bound on the --points of sweep and analyze: the grid and its CSV
 # are built in memory, so an absurd count would fail inside numpy.
 MAX_POINTS = 100_000
+
+# sweep --vary -> the (start, stop, points) of its grid when not given.
+_SWEEP_GRID = {"chi": (0.0, 2.0 * math.pi, 361), "alpha": (0.01, 0.3, 50)}
 
 
 class CliError(Exception):
@@ -214,7 +220,16 @@ def format_scenario_config(config: ScenarioConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
+# A negative number, exponent form included, is a value and not an option;
+# argparse's own pattern misses "-1e-3".
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
+
     def error(self, message: str):  # noqa: D102 - argparse hook
         raise CliError(message)
 
@@ -326,14 +341,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     config = _merged_config(args)
     template = config.to_scenario()
 
-    if args.vary == "chi":
-        start = 0.0 if args.start is None else args.start
-        stop = 2.0 * math.pi if args.stop is None else args.stop
-        points = 361 if args.points is None else args.points
-    else:
-        start = 0.01 if args.start is None else args.start
-        stop = 0.3 if args.stop is None else args.stop
-        points = 50 if args.points is None else args.points
+    given = (args.start, args.stop, args.points)
+    start, stop, points = (d if v is None else v for v, d in zip(given, _SWEEP_GRID[args.vary]))
 
     if not 2 <= points <= MAX_POINTS:
         raise CliError(f"--points must be between 2 and {MAX_POINTS}")
@@ -354,13 +363,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_weakvalues(args: argparse.Namespace) -> int:
-    values = exact_weak_values()
-    rows = [
-        ["pi_I", f"{values.pi_i.real:.12g}", f"{values.pi_i.imag:.12g}"],
-        ["pi_II", f"{values.pi_ii.real:.12g}", f"{values.pi_ii.imag:.12g}"],
-        ["sigma_pi_I", f"{values.sigma_pi_i.real:.12g}", f"{values.sigma_pi_i.imag:.12g}"],
-        ["sigma_pi_II", f"{values.sigma_pi_ii.real:.12g}", f"{values.sigma_pi_ii.imag:.12g}"],
-    ]
+    names = ("pi_I", "pi_II", "sigma_pi_I", "sigma_pi_II")
+    values = astuple(exact_weak_values())
+    rows = [[name, f"{v.real:.12g}", f"{v.imag:.12g}"] for name, v in zip(names, values)]
     print(_table(["weak_value", "re", "im"], rows))
     print("note: the sign of sigma_pi_I depends on the transverse-basis phase")
     print("convention; only its magnitude is fixed by intensities.")
@@ -384,20 +389,9 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
         ]
         for row in table
     ]
-    print(
-        _table(
-            [
-                "quantity",
-                "theory_norm",
-                "theory_cps",
-                "theory_sigma",
-                "measured_cps",
-                "measured_sigma",
-                "agrees",
-            ],
-            rows,
-        )
-    )
+    headers = ["quantity", "theory_norm", "theory_cps", "theory_sigma",
+               "measured_cps", "measured_sigma", "agrees"]
+    print(_table(headers, rows))
     agreeing = sum(row.agrees for row in table)
     print(f"agreement: {agreeing}/{len(table)} rows within 2 sigma")
     return EXIT_OK if agreeing == len(table) else EXIT_DISAGREE
@@ -412,15 +406,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     grid = np.geomspace(args.alpha_min, args.alpha_max, args.points)
     report = truncation_scan(path, grid)
 
-    header = [
-        "alpha_rad",
-        "i_exact_norm",
-        "i_linear_norm",
-        "i_quadratic_norm",
-        "deficit_exact_norm",
-        "deficit_linear_norm",
-        "deficit_quadratic_norm",
-    ]
+    header = ["alpha_rad", "i_exact_norm", "i_linear_norm", "i_quadratic_norm",
+              "deficit_exact_norm", "deficit_linear_norm", "deficit_quadratic_norm"]
     table_rows = []
     csv_lines = [",".join(header)]
     for i, alpha in enumerate(report.alpha_grid):
@@ -497,11 +484,15 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, OSError) as exc:
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader of stdout is gone: stop quietly, and point stdout at
+        # devnull so that the flush at interpreter exit does not raise too.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
+    except (CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

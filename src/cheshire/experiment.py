@@ -21,10 +21,11 @@ whole grid in one numpy pass on an ``(N, path, spin)`` amplitude array:
 the insertion is a per-path factor on the spin diagonal, the phase a
 per-path scalar, and the recombiner plus spin filter one fixed
 contraction whose 1/sqrt(2) factors are folded into exact powers of two.
-:func:`run` is its N = 1 case and the sweeps are one call each.  The 4x4
+:func:`run` is its N = 1 case and the sweeps are one call each.  The
+canonical weak values read the same ``(path, spin)`` constants.  The 4x4
 joint algebra of :mod:`cheshire.qcore` and :mod:`cheshire.elements` is not
-on this path; it serves the weak values and is the independent reference
-the tests check this pipeline against.
+on either path; it serves :func:`cheshire.weak.weak_value` for arbitrary
+operators and is the independent reference the tests check both against.
 """
 
 from __future__ import annotations
@@ -128,24 +129,22 @@ class IntensityRecord:
     scale_ref_cps: float
 
 
-def initial_state() -> JointState:
-    """Equal superposition: transverse-plus spin on path I, minus on path II.
+# Amplitudes indexed [path, spin], exact binary fractions, so downstream
+# algebraic identities hold to machine precision.  Prepared: transverse
+# plus on path I, transverse minus on path II, each with weight 1/2.
+# Post-selected: transverse minus with equal weight on both paths.
+_PREPARED = np.array([[0.5, 0.5], [0.5, -0.5]], dtype=complex)
+_POSTSELECTED = np.array([[0.5, -0.5], [0.5, -0.5]], dtype=complex)
 
-    The amplitudes are exact binary fractions, (1/2, 1/2, 1/2, -1/2) in the
-    fixed joint basis, so downstream algebraic identities hold to machine
-    precision.
-    """
-    return JointState(np.array([0.5, 0.5, 0.5, -0.5], dtype=complex))
+
+def initial_state() -> JointState:
+    """The prepared state, (1/2, 1/2, 1/2, -1/2) in the fixed joint basis."""
+    return JointState(_PREPARED.reshape(4))
 
 
 def postselection_state() -> JointState:
-    """Transverse-minus spin with equal weight on both paths: (1/2, -1/2, 1/2, -1/2)."""
-    return JointState(np.array([0.5, -0.5, 0.5, -0.5], dtype=complex))
-
-
-# Prepared amplitudes indexed [path, spin]: transverse plus on path I,
-# transverse minus on path II, each with weight 1/2.
-_PREPARED = np.array([[0.5, 0.5], [0.5, -0.5]], dtype=complex)
+    """The post-selected state, (1/2, -1/2, 1/2, -1/2) in the fixed joint basis."""
+    return JointState(_POSTSELECTED.reshape(4))
 
 # Phase shifter: exp(-i chi/2) on path I, exp(+i chi/2) on path II.
 _HALF_PHASE = np.array([-0.5j, 0.5j])

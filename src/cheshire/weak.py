@@ -7,11 +7,14 @@ post-selection ``psi_f`` is
 
 a complex number in general.  For this interferometer the four canonical
 operators are the path projectors Pi_I, Pi_II and the spin-conditioned
-projectors sigma_z Pi_I, sigma_z Pi_II; with the standard states they come
-out 0, 1, +1 and 0.  The +1 carries a representation-dependent sign (it
-flips if the transverse spin states are defined with the opposite relative
-phase); only its magnitude is physically fixed by the intensity data, and
-callers that compare against measured rates should use ``abs()``.
+projectors sigma_z Pi_I, sigma_z Pi_II, all diagonal in [path, spin]; with
+the standard states they come out 0, 1, +1 and 0.  The +1 carries a
+representation-dependent sign (it flips if the transverse spin states are
+defined with the opposite relative phase); only its magnitude is physically
+fixed by the intensity data, and callers that compare against measured
+rates should use ``abs()``.  :func:`exact_weak_values` reads the four off
+``(path, spin)`` arrays; the 4x4 joint operators serve :func:`weak_value`
+for arbitrary operators and are the tests' independent reference.
 
 To second order in the rotation angle the O_SELECTED intensity behind a
 magnet on path j is
@@ -31,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .experiment import initial_state, postselection_state
+from .experiment import _POSTSELECTED, _PREPARED
 from .qcore import (
     ID2,
     SIGMA_Z,
@@ -76,14 +79,18 @@ def spin_z_path_operator(path: Path) -> JointOperator:
     return tensor(SIGMA_Z, path_projector(path))
 
 
-def weak_value(op: JointOperator, psi_i: JointState, psi_f: JointState) -> complex:
-    """<psi_f| op |psi_i> / <psi_f|psi_i>."""
-    overlap = inner(psi_f, psi_i)
+def _checked_overlap(overlap: complex) -> complex:
     if abs(overlap) < DEGENERATE_OVERLAP:
         raise DegeneratePostselectionError(
             f"post-selection overlap magnitude {abs(overlap):.3e} is below "
             f"{DEGENERATE_OVERLAP:.0e}; weak values are undefined"
         )
+    return overlap
+
+
+def weak_value(op: JointOperator, psi_i: JointState, psi_f: JointState) -> complex:
+    """<psi_f| op |psi_i> / <psi_f|psi_i>."""
+    overlap = _checked_overlap(inner(psi_f, psi_i))
     return complex(np.vdot(psi_f.amp, op.matrix @ psi_i.amp)) / overlap
 
 
@@ -109,16 +116,20 @@ class WeakValueSet:
 def exact_weak_values(
     psi_i: JointState | None = None, psi_f: JointState | None = None
 ) -> WeakValueSet:
-    """Weak values of the four canonical operators, default standard states."""
-    if psi_i is None:
-        psi_i = initial_state()
-    if psi_f is None:
-        psi_f = postselection_state()
+    """Weak values of the four canonical operators, default standard states.
+
+    With w[path, spin] = conj(psi_f) * psi_i, each is a row sum (Pi_j) or
+    row difference (sigma_z Pi_j) of w, over the overlap w.sum().
+    """
+    pre = _PREPARED if psi_i is None else psi_i.amp.reshape(2, 2)
+    post = _POSTSELECTED if psi_f is None else psi_f.amp.reshape(2, 2)
+    w = (post.conj() * pre).tolist()
+    overlap = _checked_overlap(sum(w[0]) + sum(w[1]))
     return WeakValueSet(
-        pi_i=weak_value(path_projector_operator(Path.I), psi_i, psi_f),
-        pi_ii=weak_value(path_projector_operator(Path.II), psi_i, psi_f),
-        sigma_pi_i=weak_value(spin_z_path_operator(Path.I), psi_i, psi_f),
-        sigma_pi_ii=weak_value(spin_z_path_operator(Path.II), psi_i, psi_f),
+        pi_i=(w[0][0] + w[0][1]) / overlap,
+        pi_ii=(w[1][0] + w[1][1]) / overlap,
+        sigma_pi_i=(w[0][0] - w[0][1]) / overlap,
+        sigma_pi_ii=(w[1][0] - w[1][1]) / overlap,
     )
 
 
@@ -149,9 +160,7 @@ def projective_spin_expectation(path: Path, psi: JointState | None = None) -> fl
     Both paths of the standard input state carry transverse spin, so the
     answer is 0 for either path, independent of any downstream settings.
     """
-    if psi is None:
-        psi = initial_state()
-    spin = psi.path_amplitudes(path)
+    spin = (_PREPARED if psi is None else psi.amp.reshape(2, 2))[path.value]
     weight = float(np.vdot(spin, spin).real)
     if weight == 0.0:
         raise ValueError(f"state has no amplitude on {path}; expectation undefined")

@@ -1,5 +1,8 @@
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path as FilePath
 
 import numpy as np
 import pytest
@@ -543,3 +546,93 @@ class TestCsvReplacement:
         assert out == f"wrote 15 rows to {out_csv}\n"
         assert out_csv.read_text(encoding="utf-8").startswith("scenario_id,")
         assert [p.name for p in tmp_path.iterdir()] == ["sweep.csv"]
+
+
+class TestNegativeExponentValues:
+    # argparse alone takes "-1e-3" for an option ("expected one argument")
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--chi-rad", "-1e-3"],
+            ["run", "--chi-deg", "-2E-2"],
+            ["run", "--insertion", "magnet", "--path", "I", "--alpha-rad", "-1e-3"],
+            ["run", "--insertion", "magnet", "--path", "II", "--alpha-deg", "-2E+1"],
+            ["sweep", "--vary", "chi", "--start", "-1e-3", "--stop", "1e-3", "--points", "3"],
+            ["sweep", "--vary", "chi", "--start", "-2e-3", "--stop", "-1.5E-3", "--points", "3"],
+        ],
+    )
+    def test_parses_like_the_equals_spelling(self, capsys, argv):
+        # "--flag=-1e-3" always worked; "--flag -1e-3" must read the same
+        equals = []
+        for arg in argv:
+            if arg.startswith("-") and arg[1:2].isdigit():
+                equals[-1] = f"{equals[-1]}={arg}"
+            else:
+                equals.append(arg)
+        spaced = run_cli(capsys, *argv)
+        assert spaced[0] == 0
+        assert spaced == run_cli(capsys, *equals)
+
+    @pytest.mark.parametrize(
+        "argv, err",
+        [
+            (["run", "--scale-ref-cps", "-1e1"], "error: scale_ref_cps must be positive, got -10.0\n"),
+            (["reproduce", "--scale-ref-cps", "-1E1"], "error: scale_ref_cps must be positive, got -10.0\n"),
+            (["analyze", "--path", "I", "--alpha-min", "-1e-3"], "error: need 0 < --alpha-min < --alpha-max\n"),
+            (["run", "--path", "-1e0"], "error: path must be I or II, got '-1e0'\n"),
+        ],
+    )
+    def test_value_reaches_its_own_check(self, capsys, argv, err):
+        assert run_cli(capsys, *argv) == (1, "", err)
+
+    @pytest.mark.parametrize(
+        "argv, err",
+        [
+            (["run", "--bogus"], "error: unrecognized arguments: --bogus\n"),
+            (["run", "--chi-rad", "-x"], "error: argument --chi-rad: expected one argument\n"),
+            (["run", "--chi-rad", "-1e"], "error: argument --chi-rad: expected one argument\n"),
+            (["sweep", "--vary", "chi", "--start", "-e3"], "error: argument --start: expected one argument\n"),
+        ],
+    )
+    def test_options_are_still_options(self, capsys, argv, err):
+        assert run_cli(capsys, *argv) == (1, "", err)
+
+    def test_help_still_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "-h"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: cheshire run [-h]")
+
+
+def _cheshire_process(*argv, **kwargs):
+    src = str(FilePath(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.Popen([sys.executable, "-m", "cheshire", *argv], env=env, **kwargs)
+
+
+class TestClosedOutput:
+    @pytest.mark.parametrize(
+        "argv",
+        [("sweep", "--vary", "chi", "--points", "50000"), ("run",)],
+        ids=["large-output", "buffered-output"],
+    )
+    def test_broken_pipe_is_quiet_with_a_fixed_code(self, argv):
+        # like `cheshire ... | true`: the reader is gone before the output
+        # is written, in the middle of it (150 000 rows) or at the final
+        # flush of a few buffered lines
+        proc = _cheshire_process(*argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 141
+        assert err == b""
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_other_write_errors_still_print_an_error_line(self):
+        with open("/dev/full", "wb") as full:
+            proc = _cheshire_process(
+                "sweep", "--vary", "chi", stdout=full, stderr=subprocess.PIPE
+            )
+            _, err = proc.communicate(timeout=60)
+        assert proc.returncode == 1
+        assert err.decode().startswith("error: [Errno 28]")

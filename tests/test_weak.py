@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from cheshire.analysis import fit_loglog_slope
@@ -14,7 +14,7 @@ from cheshire.experiment import (
     postselection_state,
     run,
 )
-from cheshire.qcore import JointState, Path, identity
+from cheshire.qcore import JointOperator, JointState, Path, identity
 from cheshire.weak import (
     DegeneratePostselectionError,
     WeakValueSet,
@@ -238,3 +238,83 @@ def test_estimator_inverts_forward_model(alpha):
     forward = weakvalue_intensity(alpha, Path.I, values, 0.25)
     est = estimate_sigma_pi(forward, 0.25, alpha, pi_w=values.pi_i.real)
     assert est.value == pytest.approx(abs(values.sigma_pi_i), abs=1e-9)
+
+
+# The four canonical weak values, each with the 4x4 operator that is its
+# independent reference route through weak_value.
+CANONICAL = [
+    ("pi_i", path_projector_operator, Path.I),
+    ("pi_ii", path_projector_operator, Path.II),
+    ("sigma_pi_i", spin_z_path_operator, Path.I),
+    ("sigma_pi_ii", spin_z_path_operator, Path.II),
+]
+
+amplitudes = st.lists(
+    st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False),
+    min_size=4,
+    max_size=4,
+)
+
+
+@given(amplitudes, amplitudes)
+def test_contraction_matches_the_4x4_route(pre, post):
+    psi_i, psi_f = JointState(pre), JointState(post)
+    # keep |<f|i>| at least 1 % of |f||i|, so cancellation in the overlap
+    # costs at most two digits on either route
+    scale = np.linalg.norm(psi_i.amp) * np.linalg.norm(psi_f.amp)
+    assume(abs(np.vdot(psi_f.amp, psi_i.amp)) >= max(0.01 * scale, 1e-9))
+    values = exact_weak_values(psi_i, psi_f)
+    for field, build, path in CANONICAL:
+        want = weak_value(build(path), psi_i, psi_f)
+        assert abs(getattr(values, field) - want) <= 1e-12 * max(1.0, abs(want)), field
+
+
+class TestCanonicalContraction:
+    @pytest.mark.parametrize(
+        "pre, post",
+        [
+            ([1.0, 0, 0, 0], [0, 1.0, 0, 0]),
+            # orthogonal to the standard post-selection
+            ([0.5, 0.5, -0.5, -0.5], [0.5, -0.5, 0.5, -0.5]),
+            ([1.0, 0, 0, 0], [1e-13, 1.0, 0, 0]),
+        ],
+    )
+    def test_degenerate_pair_raises_from_both_routes(self, pre, post):
+        psi_i, psi_f = JointState(pre), JointState(post)
+        with pytest.raises(DegeneratePostselectionError):
+            exact_weak_values(psi_i, psi_f)
+        for _, build, path in CANONICAL:
+            with pytest.raises(DegeneratePostselectionError):
+                weak_value(build(path), psi_i, psi_f)
+
+    def test_default_quartet_is_exact_with_no_negative_zero(self):
+        # weakvalues prints .12g, where -0.0 would read "-0"
+        values = exact_weak_values()
+        quartet = (values.pi_i, values.pi_ii, values.sigma_pi_i, values.sigma_pi_ii)
+        assert quartet == (0j, 1 + 0j, 1 + 0j, 0j)
+        assert all(type(v) is complex for v in quartet)
+        parts = [part for v in quartet for part in (v.real, v.imag)]
+        assert [math.copysign(1.0, part) for part in parts] == [1.0] * 8
+
+    def test_default_states_give_the_4x4_quartet(self):
+        values = exact_weak_values(initial_state(), postselection_state())
+        assert values == exact_weak_values()
+        for field, build, path in CANONICAL:
+            want = weak_value(build(path), initial_state(), postselection_state())
+            assert getattr(values, field) == want
+
+    def test_projective_expectation_is_positive_zero(self):
+        for path in Path:
+            value = projective_spin_expectation(path)
+            assert value == 0.0 and math.copysign(1.0, value) == 1.0
+            assert value == projective_spin_expectation(path, initial_state())
+
+    def test_default_routes_build_no_joint_objects(self, monkeypatch):
+        def refuse(obj):
+            raise AssertionError(f"built a {type(obj).__name__}")
+
+        monkeypatch.setattr(JointState, "__post_init__", refuse)
+        monkeypatch.setattr(JointOperator, "__post_init__", refuse)
+        exact_weak_values()
+        for path in Path:
+            projective_spin_expectation(path)
