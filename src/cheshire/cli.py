@@ -11,10 +11,12 @@ output closes the pipe early (nothing is printed then).
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import re
 import sys
+from collections.abc import Iterable, Iterator
 from dataclasses import astuple, dataclass
 from pathlib import Path as FilePath
 
@@ -50,8 +52,8 @@ EXIT_USAGE = 1
 EXIT_DISAGREE = 2
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a process the signal ended
 
-# Upper bound on the --points of sweep and analyze: the grid and its CSV
-# are built in memory, so an absurd count would fail inside numpy.
+# Upper bound on the --points of sweep and analyze: the grid and its
+# readings are built in memory, so an absurd count would fail inside numpy.
 MAX_POINTS = 100_000
 
 # sweep --vary -> the (start, stop, points) of its grid when not given.
@@ -241,6 +243,13 @@ def _add_scenario_args(sub: argparse.ArgumentParser) -> None:
         sub.add_argument(_flag(key), metavar=metavar)
 
 
+def _csv_path(text: str) -> str:
+    """The --csv value, which must end in a file name (not '', '.' or a root)."""
+    if not FilePath(text).name:
+        raise argparse.ArgumentTypeError(f"{text!r} names no file")
+    return text
+
+
 def _merged_config(args: argparse.Namespace) -> ScenarioConfig:
     """The config file's fields, overlaid by the fields of the flags given."""
     fields: dict[str, object] = {}
@@ -280,7 +289,7 @@ def _scenario_id(scenario: Scenario) -> str:
 
 def _sweep_csv(
     template: Scenario, vary: str, grid: np.ndarray, readings: np.ndarray, scale: float
-) -> list[str]:
+) -> Iterator[str]:
     """CSV lines of a chi or alpha sweep: a header, then one row per point and detector.
 
     Strings that are constant over the sweep are formatted once, and the
@@ -294,34 +303,32 @@ def _sweep_csv(
     trunc = ins.truncation.value if magnet else ""
     sid = _scenario_id(template)
     heads = [f"{sid},{det.value}," for det in Detector]
-    lines = ["scenario_id,detector,chi_rad,alpha_rad,truncation,intensity_norm,intensity_cps"]
+    yield "scenario_id,detector,chi_rad,alpha_rad,truncation,intensity_norm,intensity_cps"
     for value, norms, cps in zip(grid.tolist(), readings.tolist(), rates):
         if vary == "chi":
             chi = _num(value)
         else:
             alpha = _num(value)
         point = f"{chi},{alpha},{trunc},"
-        lines.extend(f"{head}{point}{n:.12e},{c:.12e}" for head, n, c in zip(heads, norms, cps))
-    return lines
+        yield from (f"{head}{point}{n:.12e},{c:.12e}" for head, n, c in zip(heads, norms, cps))
 
 
-def _write_csv(path_text: str | None, lines: list[str]) -> None:
-    payload = ("\n".join(lines) + "\n").encode("utf-8")
+def _write_csv(path_text: str | None, lines: Iterable[str]) -> None:
     if path_text is None:
-        sys.stdout.write(payload.decode("utf-8"))
+        sys.stdout.writelines(f"{line}\n" for line in lines)
         return
-    # Write a sibling file and rename it over the target, so a failed
-    # write never leaves a partial CSV in place of the old one.
+    # Stream into a sibling file renamed over the target: a failed write keeps the old CSV.
     target = FilePath(path_text)
     partial = target.with_name(f".{target.name}.{os.getpid()}.tmp")
     try:
-        with open(partial, "wb") as handle:
-            handle.write(payload)
+        with open(partial, "w", encoding="utf-8", newline="") as handle:
+            for rows, line in enumerate(lines):  # the header is line 0
+                handle.write(f"{line}\n")
         os.replace(partial, target)
     except BaseException:
         partial.unlink(missing_ok=True)
         raise
-    print(f"wrote {len(lines) - 1} rows to {path_text}")
+    print(f"wrote {rows} rows to {path_text}")
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -401,7 +408,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     path = Path[args.path]
     if not 10 <= args.points <= MAX_POINTS:
         raise CliError(f"--points must be between 10 and {MAX_POINTS}")
-    if not (0.0 < args.alpha_min < args.alpha_max):
+    if not (0.0 < args.alpha_min < args.alpha_max < math.inf):
         raise CliError("need 0 < --alpha-min < --alpha-max")
     grid = np.geomspace(args.alpha_min, args.alpha_max, args.points)
     report = truncation_scan(path, grid)
@@ -439,6 +446,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> _Parser:
     parser = _Parser(
         prog="cheshire",
@@ -459,7 +467,7 @@ def build_parser() -> _Parser:
     p_sweep.add_argument("--start", type=float)
     p_sweep.add_argument("--stop", type=float)
     p_sweep.add_argument("--points", type=int)
-    p_sweep.add_argument("--csv", help="output CSV path (stdout when omitted)")
+    p_sweep.add_argument("--csv", type=_csv_path, help="output CSV path (stdout when omitted)")
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_weak = sub.add_parser("weakvalues", help="print the four canonical weak values")
@@ -474,16 +482,15 @@ def build_parser() -> _Parser:
     p_ana.add_argument("--alpha-min", dest="alpha_min", type=float, default=0.01)
     p_ana.add_argument("--alpha-max", dest="alpha_max", type=float, default=0.3)
     p_ana.add_argument("--points", type=int, default=50)
-    p_ana.add_argument("--csv", help="also write the scan as CSV")
+    p_ana.add_argument("--csv", type=_csv_path, help="also write the scan as CSV")
     p_ana.set_defaults(func=cmd_analyze)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         code = args.func(args)
         sys.stdout.flush()
         return code

@@ -2,12 +2,13 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path as FilePath
 
 import numpy as np
 import pytest
 
-from cheshire import analysis, experiment
+from cheshire import analysis, cli, experiment
 from cheshire.cli import (
     MAX_POINTS,
     ScenarioConfig,
@@ -636,3 +637,110 @@ class TestClosedOutput:
             _, err = proc.communicate(timeout=60)
         assert proc.returncode == 1
         assert err.decode().startswith("error: [Errno 28]")
+
+
+def _fresh_process(*argv):
+    """(exit code, stdout, stderr) of argv run alone in a new interpreter."""
+    proc = _cheshire_process(*argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    out, err = proc.communicate(timeout=60)
+    return proc.returncode, out.decode(), err.decode()
+
+
+class TestReusedParser:
+    def test_calls_in_one_process_match_fresh_processes(self, capsys, tmp_path):
+        # main builds its parser once per process; no call may see what an
+        # earlier one parsed
+        config = tmp_path / "scenario.cfg"
+        config.write_text("insertion = magnet\npath = I\nalpha_deg = 20\nchi_deg = 30\n", encoding="utf-8")
+        sequence = [
+            ["sweep", "--vary", "chi", "--points", "7", "--bogus"],
+            ["run", "--config", str(config)],
+            ["run", "--chi-deg", "45"],
+            ["sweep", "--vary", "alpha", "--insertion", "magnet", "--path", "II", "--alpha-deg", "5",
+             "--points", "4"],
+            ["sweep", "--vary", "alpha", "--insertion", "magnet", "--path", "II", "--alpha-deg", "5"],
+            ["weakvalues"],
+        ]
+        in_process = [run_cli(capsys, *argv) for argv in sequence]
+        assert in_process[0][0] == 1
+        assert all(code == 0 for code, _, _ in in_process[1:])
+        for argv, result in zip(sequence, in_process):
+            assert result == _fresh_process(*argv), argv
+        assert cli.build_parser() is cli.build_parser()
+
+
+class TestStreamedCsv:
+    ARGS = ["sweep", "--vary", "chi", "--insertion", "magnet", "--path", "I", "--alpha-deg", "20"]
+
+    def test_failure_mid_stream_keeps_old_file(self, capsys, tmp_path, monkeypatch):
+        out_csv = tmp_path / "sweep.csv"
+        out_csv.write_bytes(b"old contents\n")
+        format_number = cli._num
+        calls = []
+
+        def fail_late(value):
+            # the template's chi and alpha, then one call per grid point
+            calls.append(sorted(p.name for p in tmp_path.iterdir()))
+            if len(calls) > 300:
+                raise ValueError("formatting failed")
+            return format_number(value)
+
+        monkeypatch.setattr(cli, "_num", fail_late)
+        code, out, err = run_cli(capsys, *self.ARGS, "--points", "400", "--csv", str(out_csv))
+        assert (code, out, err) == (1, "", "error: formatting failed\n")
+        # rows were already streaming into the temporary sibling
+        assert calls[-1] == [f".sweep.csv.{os.getpid()}.tmp", "sweep.csv"]
+        assert out_csv.read_bytes() == b"old contents\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["sweep.csv"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ARGS + ["--points", "40"],
+            ["sweep", "--vary", "alpha", "--insertion", "magnet", "--path", "II", "--alpha-deg", "5",
+             "--truncation", "quadratic", "--chi-deg", "12"],
+            ["sweep", "--vary", "chi", "--insertion", "absorber", "--path", "I",
+             "--transmissivity", "0.3", "--scale-ref-cps", "7"],
+        ],
+        ids=["chi-magnet", "alpha-magnet", "chi-absorber"],
+    )
+    def test_stdout_and_file_carry_the_same_bytes(self, capsys, tmp_path, argv):
+        out_csv = tmp_path / "sweep.csv"
+        code, stdout_csv, _ = run_cli(capsys, *argv)
+        assert code == 0
+        code, out, _ = run_cli(capsys, *argv, "--csv", str(out_csv))
+        assert code == 0
+        assert out_csv.read_bytes() == stdout_csv.encode("utf-8")
+        assert out == f"wrote {stdout_csv.count(chr(10)) - 1} rows to {out_csv}\n"
+
+    def test_peak_memory_stays_below_twice_the_csv(self, capsys, tmp_path):
+        out_csv = tmp_path / "large.csv"
+        argv = [*self.ARGS, "--points", "24000", "--csv", str(out_csv)]
+        assert run_cli(capsys, *self.ARGS, "--points", "5")[0] == 0  # parser and imports warm
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        size = out_csv.stat().st_size
+        assert size > 7_000_000
+        assert peak < 2 * size, (peak, size)
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("flag", ["--alpha-min", "--alpha-max"])
+    def test_infinite_analyze_bound_prints_one_error_line(self, flag):
+        # numpy warns about an infinite geomspace bound; the check comes first
+        assert _fresh_process("analyze", "--path", "I", flag, "inf") == (
+            1, "", "error: need 0 < --alpha-min < --alpha-max\n"
+        )
+
+    @pytest.mark.parametrize("csv", ["", ".", "/"])
+    @pytest.mark.parametrize("argv", [["sweep", "--vary", "chi"], ["analyze", "--path", "I"]])
+    def test_csv_without_file_name_is_rejected_before_any_work(self, capsys, argv, csv):
+        # analyze would print its report first if the scan ran
+        assert run_cli(capsys, *argv, "--csv", csv) == (
+            1, "", f"error: argument --csv: {csv!r} names no file\n"
+        )
