@@ -22,10 +22,11 @@ from .experiment import (
     I_REF_NORM,
     Magnet,
     Scenario,
+    _ROTATION,
+    _readout,
     _require_scale,
     closed_form_o,
     count_rate,
-    run_batch,
 )
 from .qcore import Path
 
@@ -52,7 +53,10 @@ def fit_loglog_slope(x_values, errors, floor: float = ERROR_FLOOR) -> float:
     """Least-squares slope of log(error) against log(x), ignoring floored points.
 
     ``x_values`` must be finite and positive and ``errors`` finite and
-    non-negative, one per x value.
+    non-negative, one per x value.  The slope is the closed-form ordinary
+    least-squares one on centred logs, sum(dx * dy) / sum(dx^2); when the
+    points kept above the floor all have the same x value it is undefined,
+    and a ValueError says so.
     """
     x = np.asarray(x_values, dtype=float)
     err = np.asarray(errors, dtype=float)
@@ -67,8 +71,26 @@ def fit_loglog_slope(x_values, errors, floor: float = ERROR_FLOOR) -> float:
     keep = err > floor
     if int(keep.sum()) < 2:
         raise ValueError("fewer than two points above the numerical error floor; cannot fit")
-    slope = np.polyfit(np.log(x[keep]), np.log(err[keep]), 1)[0]
-    return float(slope)
+    log_x = np.log(x[keep])
+    # Tested on the logs themselves: the mean of equal values can round off them.
+    if (log_x == log_x[0]).all():
+        raise ValueError("the points above the numerical error floor share one x value; cannot fit")
+    log_err = np.log(err[keep])
+    dx = log_x - log_x.mean()
+    return float(dx @ (log_err - log_err.mean()) / (dx @ dx))
+
+
+def _o_selected_by_truncation(path: Path, alpha: np.ndarray) -> np.ndarray:
+    """O_SELECTED at chi = 0 behind a magnet on ``path``: one row per truncation, one pass.
+
+    The rotations stack in :class:`Truncation` order, so an overflow names the
+    first bad linear angle before any quadratic one, as one run_batch call per
+    truncation would; the exact rotation never overflows.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        factor = np.concatenate([_ROTATION[t](alpha[:, np.newaxis]) for t in Truncation])
+        readings = _readout(np.zeros(len(factor)), path, factor, np.tile(alpha, len(Truncation)))
+    return readings[:, 0].reshape(len(Truncation), alpha.size)
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,7 +109,8 @@ class TruncationReport:
 def truncation_scan(path: Path, alpha_grid) -> TruncationReport:
     """Scan the chi = 0 magnet scenario over ``alpha_grid`` for all three truncations.
 
-    The grid must contain at least 10 strictly positive angles.  The fitted
+    The grid must contain at least 10 strictly positive angles.  The three
+    truncations are read out in one pass over the grid.  The fitted
     exponents are log-log slopes of |I_truncated - I_exact| against alpha.
     """
     if not isinstance(path, Path):
@@ -98,10 +121,7 @@ def truncation_scan(path: Path, alpha_grid) -> TruncationReport:
     if not (np.isfinite(grid).all() and (grid > 0.0).all()):
         raise ValueError("alpha_grid entries must be finite and strictly positive")
 
-    i_exact, i_linear, i_quadratic = (
-        run_batch(Scenario(insertion=Magnet(path, 0.0, t)), alpha_rad=grid)[:, 0]
-        for t in Truncation
-    )
+    i_exact, i_linear, i_quadratic = _o_selected_by_truncation(path, grid)
 
     return TruncationReport(
         path=path,
@@ -130,20 +150,19 @@ def cheshire_witness(alpha_rad: float) -> CheshireDeficits:
     The linear deficit is identically zero, and exactly 0.0 in floating
     point: the readout scales by powers of two only.  The quadratic and
     exact deficits both equal I_ref * alpha^2/4 to leading order, so their
-    ratio tends to one as alpha tends to zero.
+    ratio tends to one as alpha tends to zero.  The three truncations are
+    read out in one pass, as in :func:`truncation_scan`.
     """
     alpha = float(alpha_rad)
     if not (math.isfinite(alpha) and alpha > 0.0):
         raise ValueError(f"alpha_rad must be positive, got {alpha_rad!r}")
-    deficit = {
-        t: I_REF_NORM - float(run_batch(Scenario(insertion=Magnet(Path.II, alpha, t)))[0, 0])
-        for t in Truncation
-    }
+    deficits = I_REF_NORM - _o_selected_by_truncation(Path.II, np.array([alpha]))
+    exact, linear, quadratic = deficits[:, 0].tolist()
     return CheshireDeficits(
         alpha_rad=alpha,
-        deficit_linear=deficit[Truncation.LINEAR],
-        deficit_quadratic=deficit[Truncation.QUADRATIC],
-        deficit_exact=deficit[Truncation.EXACT],
+        deficit_linear=linear,
+        deficit_quadratic=quadratic,
+        deficit_exact=exact,
     )
 
 

@@ -244,14 +244,20 @@ def _add_scenario_args(sub: argparse.ArgumentParser) -> None:
 
 
 def _csv_path(text: str) -> str:
-    """The --csv value, which must end in a file name (not '', '.' or a root)."""
+    """The --csv value, which must end in a file name (not '', '.', a root or a directory)."""
     if not FilePath(text).name:
         raise argparse.ArgumentTypeError(f"{text!r} names no file")
+    if text.endswith(("/", os.sep)) or os.path.isdir(text):
+        raise argparse.ArgumentTypeError(f"{text!r} names a directory")
     return text
 
 
-def _merged_config(args: argparse.Namespace) -> ScenarioConfig:
-    """The config file's fields, overlaid by the fields of the flags given."""
+def _merged_config(args: argparse.Namespace, fill: dict[str, object] | None = None) -> ScenarioConfig:
+    """The config file's fields, overlaid by the fields of the flags given.
+
+    ``fill`` gives values for fields that the chosen insertion uses and
+    that neither source sets.
+    """
     fields: dict[str, object] = {}
     if args.config is not None:
         try:
@@ -261,6 +267,8 @@ def _merged_config(args: argparse.Namespace) -> ScenarioConfig:
         fields = _file_fields(text)
     flags = {key: getattr(args, key) for key in _KEYS if getattr(args, key) is not None}
     fields.update(_fields(flags, spell=_flag))
+    uses = _INSERTION_FIELDS[fields.get("insertion", "none")]
+    fields = {**{k: v for k, v in (fill or {}).items() if k in uses}, **fields}
     return ScenarioConfig(**fields)
 
 
@@ -325,9 +333,12 @@ def _write_csv(path_text: str | None, lines: Iterable[str]) -> None:
             for rows, line in enumerate(lines):  # the header is line 0
                 handle.write(f"{line}\n")
         os.replace(partial, target)
-    except BaseException:
-        partial.unlink(missing_ok=True)
+    except OSError as exc:
+        if exc.filename == str(partial):  # name the path given, not the sibling
+            raise OSError(exc.errno, exc.strerror, path_text) from None
         raise
+    finally:
+        partial.unlink(missing_ok=True)
     print(f"wrote {rows} rows to {path_text}")
 
 
@@ -345,7 +356,8 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    config = _merged_config(args)
+    # An alpha grid replaces the magnet's angle, so none need be given; any fills it.
+    config = _merged_config(args, {"alpha_rad": 0.0} if args.vary == "alpha" else None)
     template = config.to_scenario()
 
     given = (args.start, args.stop, args.points)

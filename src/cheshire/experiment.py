@@ -21,11 +21,13 @@ whole grid in one numpy pass on an ``(N, path, spin)`` amplitude array:
 the insertion is a per-path factor on the spin diagonal, the phase a
 per-path scalar, and the recombiner plus spin filter one fixed
 contraction whose 1/sqrt(2) factors are folded into exact powers of two.
-:func:`run` is its N = 1 case and the sweeps are one call each.  The
-canonical weak values read the same ``(path, spin)`` constants.  The 4x4
-joint algebra of :mod:`cheshire.qcore` and :mod:`cheshire.elements` is not
-on either path; it serves :func:`cheshire.weak.weak_value` for arbitrary
-operators and is the independent reference the tests check both against.
+:func:`run` is its N = 1 case and the sweeps are one call each; the
+truncation scan and witness of :mod:`cheshire.analysis` stack their three
+rotations into one pass of the same kernel.  The canonical weak values read
+the same ``(path, spin)`` constants.  The 4x4 joint algebra of
+:mod:`cheshire.qcore` and :mod:`cheshire.elements` is not on either path;
+it serves :func:`cheshire.weak.weak_value` for arbitrary operators and is the
+independent reference the tests check both against.
 """
 
 from __future__ import annotations
@@ -149,16 +151,17 @@ def postselection_state() -> JointState:
 # Phase shifter: exp(-i chi/2) on path I, exp(+i chi/2) on path II.
 _HALF_PHASE = np.array([-0.5j, 0.5j])
 
-# (c, s) of the rotation c + i s sigma_z for each truncation policy; the
-# 2x2 matrices of elements.spin_rotation_matrix are built independently.
-_ROTATION = {
-    Truncation.EXACT: lambda a: (np.cos(a / 2.0), np.sin(a / 2.0)),
-    Truncation.LINEAR: lambda a: (1.0, a / 2.0),
-    Truncation.QUADRATIC: lambda a: (1.0 - a * a / 8.0, a / 2.0),
-}
-
 # i times the diagonal of sigma_z, indexed by spin.
 _I_SIGMA_Z = np.array([1j, -1j])
+
+# The spin diagonal c + i s sigma_z of the rotation for each truncation
+# policy, one row per angle of an (N, 1) column; the 2x2 matrices of
+# elements.spin_rotation_matrix are built independently.
+_ROTATION = {
+    Truncation.EXACT: lambda a: np.cos(a / 2.0) + np.sin(a / 2.0) * _I_SIGMA_Z,
+    Truncation.LINEAR: lambda a: 1.0 + a / 2.0 * _I_SIGMA_Z,
+    Truncation.QUADRATIC: lambda a: (1.0 - a * a / 8.0) + a / 2.0 * _I_SIGMA_Z,
+}
 
 # Recombiner: the O port takes path I + path II, the H port path I - path II.
 _RECOMBINE = np.array([[1.0], [-1.0]])
@@ -177,6 +180,35 @@ def _grid(name: str, values) -> np.ndarray:
     return grid
 
 
+def _readout(chi: np.ndarray, path: Path | None, factor, alpha: np.ndarray | None) -> np.ndarray:
+    """The one array pass: ``(N, 3)`` readings, columns as :class:`Detector`.
+
+    Row n has phase ``chi[n]`` and, on ``path``, the spin diagonal ``factor``:
+    sqrt(T), ``(N, 2)`` rows of ``_ROTATION``, or None for no insertion.
+    ``alpha`` only names a non-finite row in the ValueError.  Callers hold
+    ``np.errstate(over="ignore", invalid="ignore")``, since a truncated
+    rotation at a huge angle overflows.
+    """
+    amp = _PREPARED * np.exp(np.multiply.outer(chi, _HALF_PHASE))[:, :, np.newaxis]
+    if factor is not None:
+        amp[:, path.value] *= factor
+
+    # ports[n, port, spin]: the filtered O amplitude (times 2, in the
+    # spin-up slot), then the O and H ports (times sqrt(2)).
+    ports = np.zeros((chi.size, 3, 2), dtype=complex)
+    np.add(amp[:, :1], _RECOMBINE * amp[:, 1:], out=ports[:, 1:])
+    np.subtract(ports[:, 1, 0], ports[:, 1, 1], out=ports[:, 0, 0])
+    readings = np.square(ports.view(float)).sum(axis=2) * _PORT_WEIGHTS
+
+    if not np.isfinite(readings).all():
+        i = int(np.argmin(np.isfinite(readings).all(axis=1)))
+        where = f"chi_rad={float(chi[i])!r}"
+        if alpha is not None:
+            where = f"alpha_rad={float(alpha[i])!r}, {where}"
+        raise ValueError(f"intensities are not finite at {where}")
+    return readings
+
+
 def run_batch(template: Scenario, *, chi_rad=None, alpha_rad=None) -> np.ndarray:
     """Normalized intensities of ``template`` over a grid, in one array pass.
 
@@ -193,14 +225,16 @@ def run_batch(template: Scenario, *, chi_rad=None, alpha_rad=None) -> np.ndarray
         O_UNSELECTED = sum over spin of |a_I + a_II|^2 / 2
         H            = sum over spin of |a_I - a_II|^2 / 2
 
-    Raises ValueError when a reading is not finite (a truncated rotation
-    at a huge angle overflows).
+    The grids are checked here; the arithmetic is the array kernel that the
+    truncation scan shares.  Raises ValueError when a reading is not finite
+    (a truncated rotation at a huge angle overflows).
     """
     ins = template.insertion
     magnet = isinstance(ins, Magnet)
     if alpha_rad is not None and not magnet:
         raise ValueError("an alpha grid requires a scenario with a magnet insertion")
     chi = np.array([template.chi_rad]) if chi_rad is None else _grid("chi_rad", chi_rad)
+    alpha = factor = None
     if magnet:
         alpha = np.array([ins.alpha_rad]) if alpha_rad is None else _grid("alpha_rad", alpha_rad)
         if alpha.size != chi.size:
@@ -208,30 +242,17 @@ def run_batch(template: Scenario, *, chi_rad=None, alpha_rad=None) -> np.ndarray
                 raise ValueError(
                     f"chi_rad and alpha_rad grids differ in length ({chi.size} and {alpha.size})"
                 )
-            chi, alpha = np.broadcast_arrays(chi, alpha)
+            if chi.size == 1:
+                chi = np.full(alpha.size, chi[0])
+            else:
+                alpha = np.full(chi.size, alpha[0])
+    elif isinstance(ins, Absorber):
+        factor = math.sqrt(ins.transmissivity)
 
     with np.errstate(over="ignore", invalid="ignore"):
-        amp = _PREPARED * np.exp(np.multiply.outer(chi, _HALF_PHASE))[:, :, np.newaxis]
-        if isinstance(ins, Absorber):
-            amp[:, ins.path.value] *= math.sqrt(ins.transmissivity)
-        elif magnet:
-            c, s = _ROTATION[ins.truncation](alpha[:, np.newaxis])
-            amp[:, ins.path.value] *= c + s * _I_SIGMA_Z
-
-        # ports[n, port, spin]: the filtered O amplitude (times 2, in the
-        # spin-up slot), then the O and H ports (times sqrt(2)).
-        ports = np.zeros((chi.size, 3, 2), dtype=complex)
-        np.add(amp[:, :1], _RECOMBINE * amp[:, 1:], out=ports[:, 1:])
-        np.subtract(ports[:, 1, 0], ports[:, 1, 1], out=ports[:, 0, 0])
-        readings = np.square(ports.view(float)).sum(axis=2) * _PORT_WEIGHTS
-
-    if not np.isfinite(readings).all():
-        i = int(np.argmin(np.isfinite(readings).all(axis=1)))
-        where = f"chi_rad={float(chi[i])!r}"
         if magnet:
-            where = f"alpha_rad={float(alpha[i])!r}, {where}"
-        raise ValueError(f"intensities are not finite at {where}")
-    return readings
+            factor = _ROTATION[ins.truncation](alpha[:, np.newaxis])
+        return _readout(chi, getattr(ins, "path", None), factor, alpha)
 
 
 def _require_scale(scale_ref_cps: float) -> float:

@@ -1,7 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from cheshire.analysis import (
@@ -13,6 +16,8 @@ from cheshire.analysis import (
     reproduce_benchmark_table,
     truncation_scan,
 )
+from cheshire.elements import Truncation
+from cheshire.experiment import Magnet, Scenario, run_batch
 from cheshire.qcore import Path
 
 GRID = np.geomspace(0.01, 0.3, 50)
@@ -74,6 +79,93 @@ class TestTruncationScan:
         # log(0) = -inf used to reach np.polyfit and fail inside LAPACK
         with pytest.raises(ValueError):
             fit_loglog_slope(x, errors)
+
+    @pytest.mark.parametrize(
+        "x, errors", [([1.0, 1.0], [1.0, 2.0]), ([2.0, 2.0, 2.0], [1e-3, 2e-3, 3e-3])]
+    )
+    def test_fit_rejects_equal_x_values_without_warnings(self, x, errors):
+        # np.polyfit failed inside LAPACK on the first and warned its way to
+        # a made-up slope on the second
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="share one x value"):
+                fit_loglog_slope(x, errors)
+
+    def test_fit_rejects_equal_x_values_left_by_the_floor(self):
+        with pytest.raises(ValueError, match="share one x value"):
+            fit_loglog_slope([0.1, 0.2, 0.2], [1e-16, 1e-3, 2e-3])
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.floats(-3.0, 1.0),
+        st.floats(0.1, 4.0),
+        st.integers(2, 80),
+        st.floats(-6.0, 6.0),
+        st.lists(st.floats(-1.0, 1.0), min_size=80, max_size=80),
+    )
+    def test_fit_agrees_with_polyfit(self, lo, decades, points, slope, noise):
+        x = np.logspace(lo, lo + decades, points)
+        errors = x**slope * np.exp(noise[:points])
+        expected = np.polyfit(np.log(x), np.log(errors), 1)[0]
+        assert abs(fit_loglog_slope(x, errors, floor=0.0) - expected) <= 1e-12 * max(1.0, abs(expected))
+
+
+def per_truncation_readings(path, alpha_grid):
+    """O_SELECTED at chi = 0 by one run_batch call per truncation, exact first."""
+    return [
+        run_batch(Scenario(insertion=Magnet(path, 0.0, t)), alpha_rad=alpha_grid)[:, 0]
+        for t in Truncation
+    ]
+
+
+def bits(values):
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+class TestOnePassScan:
+    # the scan and the witness read all three truncations out in one pass;
+    # each must equal, bit for bit, a run_batch call per truncation
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.sampled_from(list(Path)),
+        st.lists(st.floats(1e-3, 3.0), min_size=10, max_size=40, unique=True),
+    )
+    def test_scan_equals_per_truncation_runs(self, path, alphas):
+        grid = np.array(alphas)
+        # the fits need two errors above the floor; on path I the error is
+        # alpha^4 / 192, which passes 1e-13 near alpha = 0.012
+        assume(np.sort(grid)[-2] > 0.05)
+        report = truncation_scan(path, grid)
+        expected = per_truncation_readings(path, grid)
+        for got, want in zip((report.i_exact, report.i_linear, report.i_quadratic), expected):
+            assert np.array_equal(bits(got), bits(want))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(1e-3, 3.0))
+    def test_witness_equals_per_truncation_runs(self, alpha):
+        witness = cheshire_witness(alpha)
+        exact, linear, quadratic = (0.25 - r[0] for r in per_truncation_readings(Path.II, alpha))
+        got = [witness.deficit_exact, witness.deficit_linear, witness.deficit_quadratic]
+        assert np.array_equal(bits(got), bits([exact, linear, quadratic]))
+
+    @pytest.mark.parametrize("path", list(Path))
+    def test_overflow_names_the_same_angle_on_both_routes(self, path):
+        grid = np.r_[np.geomspace(0.01, 0.3, 10), 1e200]
+        with pytest.raises(ValueError) as per_truncation:
+            per_truncation_readings(path, grid)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as one_pass:
+                truncation_scan(path, grid)
+        assert str(one_pass.value) == str(per_truncation.value)
+        assert "alpha_rad=1e+200" in str(one_pass.value)
+
+    def test_witness_overflow_names_the_same_angle_on_both_routes(self):
+        with pytest.raises(ValueError) as per_truncation:
+            per_truncation_readings(Path.II, 1e200)
+        with pytest.raises(ValueError) as one_pass:
+            cheshire_witness(1e200)
+        assert str(one_pass.value) == str(per_truncation.value)
 
 
 class TestCheshireWitness:

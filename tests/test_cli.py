@@ -744,3 +744,46 @@ class TestInputChecks:
         assert run_cli(capsys, *argv, "--csv", csv) == (
             1, "", f"error: argument --csv: {csv!r} names no file\n"
         )
+
+    @pytest.mark.parametrize("argv", [["sweep", "--vary", "chi"], ["analyze", "--path", "I"]])
+    def test_csv_naming_a_directory_is_rejected_before_any_work(self, capsys, tmp_path, argv):
+        for csv in [str(tmp_path / "out") + "/", str(tmp_path)]:
+            assert run_cli(capsys, *argv, "--csv", csv) == (
+                1, "", f"error: argument --csv: {csv!r} names a directory\n"
+            )
+        assert list(tmp_path.iterdir()) == []
+
+    def test_csv_in_a_missing_directory_names_the_path_given(self, capsys, tmp_path):
+        csv = str(tmp_path / "nodir" / "x.csv")
+        code, out, err = run_cli(capsys, "sweep", "--vary", "chi", "--csv", csv)
+        assert (code, out) == (1, "")
+        assert err == f"error: [Errno 2] No such file or directory: {csv!r}\n"
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestAlphaSweepWithoutAngle:
+    README_LINE = "cheshire sweep --vary alpha --insertion magnet --path II --truncation linear"
+
+    def test_readme_example_runs(self):
+        # the README's own alpha-sweep line, verbatim
+        readme = (FilePath(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        assert self.README_LINE in readme.splitlines()
+        code, out, err = _fresh_process(*self.README_LINE.split()[1:])
+        assert (code, err) == (0, "")
+        assert out.startswith("scenario_id,detector,chi_rad,alpha_rad,truncation,")
+        assert out.count("\n") == 1 + 3 * 50
+
+    @pytest.mark.parametrize("angle", [["--alpha-deg", "20"], ["--alpha-rad", "-2.5"]])
+    def test_csv_equals_the_one_with_a_dummy_angle(self, capsys, angle):
+        argv = self.README_LINE.split()[1:]
+        code, without, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert run_cli(capsys, *argv, *angle) == (0, without, "")
+
+    def test_alpha_grid_still_requires_a_magnet(self, capsys):
+        assert run_cli(capsys, "sweep", "--vary", "alpha") == (
+            1, "", "error: an alpha grid requires a scenario with a magnet insertion\n"
+        )
+        assert run_cli(capsys, "sweep", "--vary", "chi", "--insertion", "magnet", "--path", "I") == (
+            1, "", "error: insertion = magnet requires alpha\n"
+        )
