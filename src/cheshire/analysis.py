@@ -22,8 +22,8 @@ from .experiment import (
     I_REF_NORM,
     Magnet,
     Scenario,
-    _ROTATION,
     _readout,
+    _rotation_factor,
     _require_scale,
     closed_form_o,
     count_rate,
@@ -47,6 +47,11 @@ __all__ = [
 # Absolute intensity errors below this are treated as pure floating-point
 # noise and excluded from log-log fits.
 ERROR_FLOOR = 1e-13
+
+# The largest Poisson mean numpy's sampler takes, computed as numpy does from
+# the largest C long (np.iinfo would cost ~0.1 MB of resident memory).
+_LONG_MAX = 2 ** (8 * np.dtype("l").itemsize - 1) - 1
+_POISSON_MEAN_MAX = _LONG_MAX - math.sqrt(_LONG_MAX) * 10
 
 
 def fit_loglog_slope(x_values, errors, floor: float = ERROR_FLOOR) -> float:
@@ -88,7 +93,7 @@ def _o_selected_by_truncation(path: Path, alpha: np.ndarray) -> np.ndarray:
     truncation would; the exact rotation never overflows.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        factor = np.concatenate([_ROTATION[t](alpha[:, np.newaxis]) for t in Truncation])
+        factor = np.concatenate([_rotation_factor(t, alpha) for t in Truncation])
         readings = _readout(np.zeros(len(factor)), path, factor, np.tile(alpha, len(Truncation)))
     return readings[:, 0].reshape(len(Truncation), alpha.size)
 
@@ -181,8 +186,10 @@ class CountSample:
 def poisson_counts(rate_cps: float, duration_s: float, seed: int) -> CountSample:
     """Draw one Poisson count total for ``rate_cps`` over ``duration_s`` seconds.
 
-    Deterministic for a given seed.  The rate estimate is counts/duration
-    and its one-sigma uncertainty sqrt(counts)/duration.
+    Deterministic for a given seed, a non-negative integer.  The rate
+    estimate is counts/duration and its one-sigma uncertainty
+    sqrt(counts)/duration.  The mean count, rate times duration, must not
+    exceed the largest mean numpy's Poisson sampler takes (about 9.2e18).
     """
     rate = float(rate_cps)
     duration = float(duration_s)
@@ -190,8 +197,16 @@ def poisson_counts(rate_cps: float, duration_s: float, seed: int) -> CountSample
         raise ValueError(f"rate_cps must be >= 0, got {rate_cps!r}")
     if not (math.isfinite(duration) and duration > 0.0):
         raise ValueError(f"duration_s must be positive, got {duration_s!r}")
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    mean = rate * duration
+    if not mean <= _POISSON_MEAN_MAX:
+        raise ValueError(
+            f"mean count {mean!r} (rate_cps {rate_cps!r} times duration_s {duration_s!r}) "
+            f"exceeds the Poisson sampler's limit {_POISSON_MEAN_MAX!r}"
+        )
     rng = np.random.default_rng(seed)
-    counts = int(rng.poisson(rate * duration))
+    counts = int(rng.poisson(mean))
     return CountSample(
         rate_cps=rate,
         duration_s=duration,

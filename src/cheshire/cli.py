@@ -11,6 +11,7 @@ output closes the pipe early (nothing is printed then).
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import math
 import os
@@ -244,11 +245,16 @@ def _add_scenario_args(sub: argparse.ArgumentParser) -> None:
 
 
 def _csv_path(text: str) -> str:
-    """The --csv value, which must end in a file name (not '', '.', a root or a directory)."""
+    """The --csv value: a file name (not '', '.', a root or a directory) in a directory that exists."""
     if not FilePath(text).name:
         raise argparse.ArgumentTypeError(f"{text!r} names no file")
     if text.endswith(("/", os.sep)) or os.path.isdir(text):
         raise argparse.ArgumentTypeError(f"{text!r} names a directory")
+    parent = os.path.dirname(text) or os.curdir
+    if not os.path.isdir(parent):
+        # The error the write would raise, raised before any work; main prints it.
+        code = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
+        raise OSError(code, os.strerror(code), text)
     return text
 
 

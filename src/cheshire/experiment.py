@@ -21,9 +21,13 @@ whole grid in one numpy pass on an ``(N, path, spin)`` amplitude array:
 the insertion is a per-path factor on the spin diagonal, the phase a
 per-path scalar, and the recombiner plus spin filter one fixed
 contraction whose 1/sqrt(2) factors are folded into exact powers of two.
-:func:`run` is its N = 1 case and the sweeps are one call each; the
-truncation scan and witness of :mod:`cheshire.analysis` stack their three
-rotations into one pass of the same kernel.  The canonical weak values read
+The sweeps are one call each; the truncation scan and witness of
+:mod:`cheshire.analysis` stack their three rotations into one pass of the
+same kernel.  :func:`run`, always one point, reads its scenario out in
+Python scalars instead, with the same bits as the kernel's row: the one
+general complex product (an amplitude times a rotation's ``c ± i s``)
+goes through ``np.multiply``, whose loop may fuse a multiply-add, and each
+port sums its squares in numpy's order.  The canonical weak values read
 the same ``(path, spin)`` constants.  The 4x4 joint algebra of
 :mod:`cheshire.qcore` and :mod:`cheshire.elements` is not on either path;
 it serves :func:`cheshire.weak.weak_value` for arbitrary operators and is the
@@ -120,6 +124,10 @@ class Detector(Enum):
     H = "H"
 
 
+# The detectors in column order; a tuple iterates faster than the Enum class.
+_DETECTORS = tuple(Detector)
+
+
 @dataclass(frozen=True)
 class IntensityRecord:
     """One detector reading for one scenario."""
@@ -154,14 +162,23 @@ _HALF_PHASE = np.array([-0.5j, 0.5j])
 # i times the diagonal of sigma_z, indexed by spin.
 _I_SIGMA_Z = np.array([1j, -1j])
 
-# The spin diagonal c + i s sigma_z of the rotation for each truncation
-# policy, one row per angle of an (N, 1) column; the 2x2 matrices of
+# The rotation's spin diagonal is c + i s sigma_z; each truncation policy
+# gives (c, s) for one angle or an array of angles.  The 2x2 matrices of
 # elements.spin_rotation_matrix are built independently.
 _ROTATION = {
-    Truncation.EXACT: lambda a: np.cos(a / 2.0) + np.sin(a / 2.0) * _I_SIGMA_Z,
-    Truncation.LINEAR: lambda a: 1.0 + a / 2.0 * _I_SIGMA_Z,
-    Truncation.QUADRATIC: lambda a: (1.0 - a * a / 8.0) + a / 2.0 * _I_SIGMA_Z,
+    Truncation.EXACT: lambda a: (np.cos(a / 2.0), np.sin(a / 2.0)),
+    Truncation.LINEAR: lambda a: (1.0, a / 2.0),
+    Truncation.QUADRATIC: lambda a: (1.0 - a * a / 8.0, a / 2.0),
 }
+
+
+def _rotation_factor(truncation: Truncation, alpha: np.ndarray) -> np.ndarray:
+    """``(N, 2)`` spin diagonals of the rotation, one row per angle of ``alpha``."""
+    c, s = _ROTATION[truncation](alpha[:, np.newaxis])
+    factor = s * _I_SIGMA_Z
+    factor += c  # in place: one (N, 2) temporary fewer on a long grid
+    return factor
+
 
 # Recombiner: the O port takes path I + path II, the H port path I - path II.
 _RECOMBINE = np.array([[1.0], [-1.0]])
@@ -202,11 +219,59 @@ def _readout(chi: np.ndarray, path: Path | None, factor, alpha: np.ndarray | Non
 
     if not np.isfinite(readings).all():
         i = int(np.argmin(np.isfinite(readings).all(axis=1)))
-        where = f"chi_rad={float(chi[i])!r}"
-        if alpha is not None:
-            where = f"alpha_rad={float(alpha[i])!r}, {where}"
-        raise ValueError(f"intensities are not finite at {where}")
+        raise _not_finite(float(chi[i]), None if alpha is None else float(alpha[i]))
     return readings
+
+
+def _readout_one(scenario: Scenario) -> tuple[float, float, float]:
+    """One row of :func:`_readout` in Python scalars, bit for bit.
+
+    The four amplitudes are Python complex numbers.  Sums, differences,
+    real scalings and powers of two round alike here and in the array
+    kernel.  The product by a magnet's ``c ± i s`` goes through
+    ``np.multiply``, whose complex loop may fuse a multiply-add that
+    Python's ``*`` does not, and each port sums its squares in numpy's
+    order (see :func:`_port_norm`).
+    """
+    ins = scenario.insertion
+    half = scenario.chi_rad / 2.0
+    c, s = 0.5 * math.cos(half), 0.5 * math.sin(half)
+    # amp[path][spin] of the prepared state behind the phase shifter
+    amp = [[complex(c, -s), complex(c, -s)], [complex(c, s), complex(-c, -s)]]
+    alpha = None
+    if isinstance(ins, Absorber):
+        t = math.sqrt(ins.transmissivity)
+        amp[ins.path.value] = [a * t for a in amp[ins.path.value]]
+    elif isinstance(ins, Magnet):
+        alpha = ins.alpha_rad
+        rc, rs = _ROTATION[ins.truncation](alpha)
+        with np.errstate(over="ignore", invalid="ignore"):
+            spins = np.multiply(amp[ins.path.value], [complex(rc, rs), complex(rc, -rs)])
+        amp[ins.path.value] = spins.tolist()
+
+    (i_up, i_down), (ii_up, ii_down) = amp
+    o_up, o_down = i_up + ii_up, i_down + ii_down
+    readings = (
+        _port_norm(o_up - o_down, 0j) * 0.25,
+        _port_norm(o_up, o_down) * 0.5,
+        _port_norm(i_up - ii_up, i_down - ii_down) * 0.5,
+    )
+    if not all(map(math.isfinite, readings)):
+        raise _not_finite(scenario.chi_rad, alpha)
+    return readings
+
+
+def _port_norm(up: complex, down: complex) -> float:
+    """Sum of the squared parts of a port, in the order numpy's row sum takes."""
+    return ((up.real * up.real + up.imag * up.imag) + down.real * down.real) + down.imag * down.imag
+
+
+def _not_finite(chi: float, alpha: float | None) -> ValueError:
+    """The error for a non-finite reading, naming its angles."""
+    where = f"chi_rad={chi!r}"
+    if alpha is not None:
+        where = f"alpha_rad={alpha!r}, {where}"
+    return ValueError(f"intensities are not finite at {where}")
 
 
 def run_batch(template: Scenario, *, chi_rad=None, alpha_rad=None) -> np.ndarray:
@@ -251,7 +316,7 @@ def run_batch(template: Scenario, *, chi_rad=None, alpha_rad=None) -> np.ndarray
 
     with np.errstate(over="ignore", invalid="ignore"):
         if magnet:
-            factor = _ROTATION[ins.truncation](alpha[:, np.newaxis])
+            factor = _rotation_factor(ins.truncation, alpha)
         return _readout(chi, getattr(ins, "path", None), factor, alpha)
 
 
@@ -276,7 +341,7 @@ def _records(scenarios: list[Scenario], readings: np.ndarray, scale: float) -> l
     return [
         IntensityRecord(scenario, det, norm, rate, scale)
         for scenario, norms, rates in zip(scenarios, readings.tolist(), cps)
-        for det, norm, rate in zip(Detector, norms, rates)
+        for det, norm, rate in zip(_DETECTORS, norms, rates)
     ]
 
 
@@ -285,8 +350,10 @@ def run(
 ) -> dict[Detector, IntensityRecord]:
     """Simulate one scenario and return one record per detector (see :func:`count_rate`)."""
     scale = _require_scale(scale_ref_cps)
-    records = _records([scenario], run_batch(scenario), scale)
-    return {rec.detector: rec for rec in records}
+    return {
+        det: IntensityRecord(scenario, det, norm, count_rate(norm, scale), scale)
+        for det, norm in zip(_DETECTORS, _readout_one(scenario))
+    }
 
 
 def closed_form_o(scenario: Scenario) -> float:

@@ -216,7 +216,10 @@ def estimate_sigma_pi(
     if not math.isfinite(i_mag_norm):
         raise ValueError(f"i_mag_norm must be finite, got {i_mag_norm!r}")
 
-    inv = 4.0 / (alpha * alpha)
+    square = alpha * alpha
+    inv = 4.0 / square if square > 0.0 else math.inf
+    if not math.isfinite(inv):
+        raise ValueError(f"alpha_rad is too small for 4/alpha^2 to be finite, got {alpha_rad!r}")
     squared = inv * (i_mag_norm / i_ref_norm - 1.0) + float(pi_w)
     if squared < -float(negative_tolerance):
         raise ValueError(

@@ -237,6 +237,21 @@ class TestPoissonCounts:
         with pytest.raises(ValueError):
             poisson_counts(1.0, 0.0, seed=0)
 
+    @pytest.mark.parametrize("seed", [None, 1.5, "7", -1])
+    def test_rejects_a_seed_that_is_not_a_non_negative_integer(self, seed):
+        with pytest.raises(ValueError, match=f"seed must be a non-negative integer, got {seed!r}"):
+            poisson_counts(11.25, 4500.0, seed)
+
+    @pytest.mark.parametrize("rate, duration", [(1e20, 1.0), (1e300, 1e300)])
+    def test_rejects_a_mean_count_beyond_the_sampler(self, rate, duration):
+        with pytest.raises(ValueError, match="exceeds the Poisson sampler's limit"):
+            poisson_counts(rate, duration, 1)
+
+    def test_counts_for_valid_seeds_are_pinned(self):
+        counts = [poisson_counts(11.25, 4500.0, seed).counts for seed in (0, 42, 2**32 - 1)]
+        assert counts == [50714, 50815, 50456]
+        assert poisson_counts(11.25, 4500.0, np.uint32(42)).counts == 50815
+
     @pytest.mark.parametrize("rate, sigma", [(1.0, 1e-200), (1e300, 1e-10)])
     def test_duration_rejects_unrepresentable_times(self, rate, sigma):
         # sigma^2 underflows to 0, or the duration overflows to inf

@@ -4,7 +4,8 @@
 long way, through the element factories, ``qcore.apply``, ``recombine``
 and ``spin_select_minus``, and the two must agree over the whole scenario
 space: no insertion, an absorber of any transmissivity, or a magnet on
-either path with any truncation.
+either path with any truncation.  ``run`` skips the array pass and reads one
+point out in Python scalars; it must return the kernel's row bit for bit.
 """
 
 import dataclasses
@@ -78,7 +79,8 @@ def test_agrees_with_kronecker_route(scenario):
 @settings(max_examples=100, deadline=None)
 @given(scenarios, phases, angles)
 def test_sweeps_equal_per_point_runs(template, chi_values, alpha_values):
-    # N = 1 is the same kernel, so a sweep and a loop of runs agree exactly
+    # run reads each point out in Python scalars, in the kernel's own rounding (the
+    # fused complex product, numpy's summation order), so the two routes agree exactly
     expected = [
         rec
         for chi in chi_values
@@ -91,6 +93,35 @@ def test_sweeps_equal_per_point_runs(template, chi_values, alpha_values):
             magnet = dataclasses.replace(template.insertion, alpha_rad=alpha)
             expected.extend(run(dataclasses.replace(template, insertion=magnet), 20.0).values())
         assert sweep_alpha(template, alpha_values, 20.0) == expected
+
+
+# The whole scenario space: any finite angle or phase, so truncated rotations
+# at huge angles overflow and both routes must raise.
+any_float = st.floats(allow_nan=False, allow_infinity=False)
+any_scenarios = st.builds(
+    Scenario,
+    st.one_of(
+        st.none(),
+        st.builds(Absorber, paths, st.floats(0.0, 1.0)),
+        st.builds(Magnet, paths, any_float, st.sampled_from(list(Truncation))),
+    ),
+    any_float,
+)
+
+
+def _outcome(readout):
+    """The bits of the three readings, or the ValueError text."""
+    try:
+        return np.array(readout(), dtype=float).view(np.int64).tolist()
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.one_of(scenarios, any_scenarios), st.floats(1.0, 100.0))
+def test_run_reads_out_the_kernel_row_bit_for_bit(scenario, scale):
+    expected = _outcome(lambda: run_batch(scenario)[0])
+    assert _outcome(lambda: [run(scenario, scale)[det].intensity_norm for det in Detector]) == expected
 
 
 class TestRunBatch:

@@ -760,6 +760,16 @@ class TestInputChecks:
         assert err == f"error: [Errno 2] No such file or directory: {csv!r}\n"
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("argv", [["sweep", "--vary", "chi"], ["analyze", "--path", "I"]])
+    def test_csv_in_a_missing_directory_is_rejected_before_any_work(self, capsys, tmp_path, argv):
+        # analyze used to print its whole report before the write failed
+        (tmp_path / "file").write_text("kept")
+        cases = [("nodir", "[Errno 2] No such file or directory"), ("file", "[Errno 20] Not a directory")]
+        for parent, reason in cases:
+            csv = str(tmp_path / parent / "x.csv")
+            assert run_cli(capsys, *argv, "--csv", csv) == (1, "", f"error: {reason}: {csv!r}\n")
+        assert [f.name for f in tmp_path.iterdir()] == ["file"]
+
 
 class TestAlphaSweepWithoutAngle:
     README_LINE = "cheshire sweep --vary alpha --insertion magnet --path II --truncation linear"

@@ -185,6 +185,12 @@ class TestEstimateSigmaPi:
         with pytest.raises(ValueError):
             estimate_sigma_pi(0.25, 0.25, 0.0, pi_w=0.0)
 
+    @pytest.mark.parametrize("alpha", [1e-162, 1e-155, -1e-155])
+    def test_rejects_alpha_too_small_to_invert(self, alpha):
+        # alpha^2 underflows to 0 or 4/alpha^2 overflows to inf
+        with pytest.raises(ValueError, match=f"alpha_rad is too small .* got {alpha!r}"):
+            estimate_sigma_pi(0.25, 0.25, alpha, pi_w=0.0)
+
     def test_uncertainty_propagation(self):
         alpha = 0.2
         i_mag = 0.25 * (1 + alpha * alpha / 4)
