@@ -24,11 +24,10 @@ from .experiment import (
     Scenario,
     _readout,
     _rotation_factor,
-    _require_scale,
     closed_form_o,
     count_rate,
 )
-from .qcore import Path
+from .qcore import Path, _require_member, _require_real
 
 __all__ = [
     "TruncationReport",
@@ -71,8 +70,7 @@ def fit_loglog_slope(x_values, errors, floor: float = ERROR_FLOOR) -> float:
         raise ValueError("x values must be finite and positive")
     if not (np.isfinite(err).all() and (err >= 0.0).all()):
         raise ValueError("errors must be finite and non-negative")
-    if not (math.isfinite(floor) and floor >= 0.0):
-        raise ValueError(f"floor must be finite and non-negative, got {floor!r}")
+    floor = _require_real("floor", floor, "be >= 0")
     keep = err > floor
     if int(keep.sum()) < 2:
         raise ValueError("fewer than two points above the numerical error floor; cannot fit")
@@ -118,8 +116,7 @@ def truncation_scan(path: Path, alpha_grid) -> TruncationReport:
     truncations are read out in one pass over the grid.  The fitted
     exponents are log-log slopes of |I_truncated - I_exact| against alpha.
     """
-    if not isinstance(path, Path):
-        raise TypeError(f"path must be a Path, got {path!r}")
+    _require_member("path", path, Path)
     grid = np.asarray(alpha_grid, dtype=float)
     if grid.ndim != 1 or grid.size < 10:
         raise ValueError("alpha_grid must be one-dimensional with at least 10 points")
@@ -158,9 +155,7 @@ def cheshire_witness(alpha_rad: float) -> CheshireDeficits:
     ratio tends to one as alpha tends to zero.  The three truncations are
     read out in one pass, as in :func:`truncation_scan`.
     """
-    alpha = float(alpha_rad)
-    if not (math.isfinite(alpha) and alpha > 0.0):
-        raise ValueError(f"alpha_rad must be positive, got {alpha_rad!r}")
+    alpha = _require_real("alpha_rad", alpha_rad, "be positive")
     deficits = I_REF_NORM - _o_selected_by_truncation(Path.II, np.array([alpha]))
     exact, linear, quadratic = deficits[:, 0].tolist()
     return CheshireDeficits(
@@ -191,12 +186,8 @@ def poisson_counts(rate_cps: float, duration_s: float, seed: int) -> CountSample
     sqrt(counts)/duration.  The mean count, rate times duration, must not
     exceed the largest mean numpy's Poisson sampler takes (about 9.2e18).
     """
-    rate = float(rate_cps)
-    duration = float(duration_s)
-    if not (math.isfinite(rate) and rate >= 0.0):
-        raise ValueError(f"rate_cps must be >= 0, got {rate_cps!r}")
-    if not (math.isfinite(duration) and duration > 0.0):
-        raise ValueError(f"duration_s must be positive, got {duration_s!r}")
+    rate = _require_real("rate_cps", rate_cps, "be >= 0")
+    duration = _require_real("duration_s", duration_s, "be positive")
     if not isinstance(seed, (int, np.integer)) or seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     mean = rate * duration
@@ -219,12 +210,8 @@ def poisson_counts(rate_cps: float, duration_s: float, seed: int) -> CountSample
 
 def duration_for_rate_sigma(rate_cps: float, sigma_cps: float) -> float:
     """Counting time after which a Poisson rate estimate reaches ``sigma_cps``."""
-    rate = float(rate_cps)
-    sigma = float(sigma_cps)
-    if not (math.isfinite(rate) and rate > 0.0):
-        raise ValueError(f"rate_cps must be positive, got {rate_cps!r}")
-    if not (math.isfinite(sigma) and sigma > 0.0):
-        raise ValueError(f"sigma_cps must be positive, got {sigma_cps!r}")
+    rate = _require_real("rate_cps", rate_cps, "be positive")
+    sigma = _require_real("sigma_cps", sigma_cps, "be positive")
     variance = sigma * sigma
     duration = rate / variance if variance > 0.0 else math.inf
     if not math.isfinite(duration):
@@ -273,7 +260,7 @@ def reproduce_benchmark_table(
     combined sigma adds the calibration-propagated theory uncertainty and
     the measured uncertainty in quadrature.
     """
-    scale = _require_scale(scale_ref_cps)
+    scale = _require_real("scale_ref_cps", scale_ref_cps, "be positive")
 
     theory_norms = {
         "I_ref": I_REF_NORM,

@@ -32,12 +32,11 @@ from .experiment import (
     Detector,
     Magnet,
     Scenario,
-    _require_scale,
     count_rate,
     run,
     run_batch,
 )
-from .qcore import Path
+from .qcore import Path, _require_real
 from .weak import exact_weak_values, projective_spin_expectation
 
 __all__ = [
@@ -106,7 +105,7 @@ class ScenarioConfig:
                 users = [ins for ins, fields in _INSERTION_FIELDS.items() if field in fields]
                 raise ValueError(f"{name} requires insertion = {' or '.join(users)}")
         self.to_scenario()
-        _require_scale(self.scale_ref_cps)
+        _require_real("scale_ref_cps", self.scale_ref_cps, "be positive")
 
     def to_scenario(self) -> Scenario:
         if self.insertion == "absorber":
@@ -497,9 +496,8 @@ def build_parser() -> _Parser:
 
     p_ana = sub.add_parser("analyze", help="truncation-order scan and witness deficits")
     p_ana.add_argument("--path", choices=["I", "II"], required=True)
-    p_ana.add_argument("--alpha-min", dest="alpha_min", type=float, default=0.01)
-    p_ana.add_argument("--alpha-max", dest="alpha_max", type=float, default=0.3)
-    p_ana.add_argument("--points", type=int, default=50)
+    for flag, default in zip(("--alpha-min", "--alpha-max", "--points"), _SWEEP_GRID["alpha"]):
+        p_ana.add_argument(flag, type=type(default), default=default)
     p_ana.add_argument("--csv", type=_csv_path, help="also write the scan as CSV")
     p_ana.set_defaults(func=cmd_analyze)
 

@@ -17,7 +17,6 @@ Conventions fixed here and relied on everywhere else:
 
 from __future__ import annotations
 
-import math
 from enum import Enum
 
 import numpy as np
@@ -29,6 +28,8 @@ from .qcore import (
     JointOperator,
     JointState,
     Path,
+    _require_member,
+    _require_real,
     path_projector,
     tensor,
 )
@@ -56,20 +57,6 @@ def _other(path: Path) -> Path:
     return Path.II if path is Path.I else Path.I
 
 
-def _require_finite(name: str, value: float) -> float:
-    value = float(value)
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value!r}")
-    return value
-
-
-def _require_transmissivity(value: float) -> float:
-    t = _require_finite("transmissivity", value)
-    if not 0.0 <= t <= 1.0:
-        raise ValueError(f"transmissivity must lie in [0, 1], got {t}")
-    return t
-
-
 def spin_rotation_matrix(alpha_rad: float, truncation: Truncation = Truncation.EXACT) -> np.ndarray:
     """2x2 spin-rotation matrix about z by ``alpha_rad``.
 
@@ -81,9 +68,8 @@ def spin_rotation_matrix(alpha_rad: float, truncation: Truncation = Truncation.E
     them without renormalization so that the resulting intensities expose
     the truncation error directly.
     """
-    alpha = _require_finite("alpha_rad", alpha_rad)
-    if not isinstance(truncation, Truncation):
-        raise TypeError(f"truncation must be a Truncation, got {truncation!r}")
+    alpha = _require_real("alpha_rad", alpha_rad)
+    _require_member("truncation", truncation, Truncation)
     if truncation is Truncation.EXACT:
         return np.cos(alpha / 2.0) * ID2 + 1j * np.sin(alpha / 2.0) * SIGMA_Z
     if truncation is Truncation.LINEAR:
@@ -95,15 +81,14 @@ def magnetic_rotation(
     path: Path, alpha_rad: float, truncation: Truncation = Truncation.EXACT
 ) -> JointOperator:
     """Spin rotation applied on one path, identity on the other."""
-    if not isinstance(path, Path):
-        raise TypeError(f"path must be a Path, got {path!r}")
+    _require_member("path", path, Path)
     rot = spin_rotation_matrix(alpha_rad, truncation)
     return tensor(rot, path_projector(path)) + tensor(ID2, path_projector(_other(path)))
 
 
 def phase_shifter(chi_rad: float) -> JointOperator:
     """Relative path phase: exp(-i chi/2) on path I, exp(+i chi/2) on path II."""
-    chi = _require_finite("chi_rad", chi_rad)
+    chi = _require_real("chi_rad", chi_rad)
     phases = np.diag([np.exp(-0.5j * chi), np.exp(+0.5j * chi)])
     return tensor(ID2, phases)
 
@@ -114,10 +99,10 @@ def absorber(path: Path, transmissivity: float) -> JointOperator:
     ``transmissivity`` is the intensity transmission T in [0, 1]; field
     amplitudes on the selected path are scaled by sqrt(T).
     """
-    if not isinstance(path, Path):
-        raise TypeError(f"path must be a Path, got {path!r}")
+    _require_member("path", path, Path)
+    t = _require_real("transmissivity", transmissivity, "lie in [0, 1]")
     scales = np.eye(2, dtype=complex)
-    scales[path.value, path.value] = np.sqrt(_require_transmissivity(transmissivity))
+    scales[path.value, path.value] = np.sqrt(t)
     return tensor(ID2, scales)
 
 

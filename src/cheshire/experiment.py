@@ -44,8 +44,8 @@ from typing import Iterable, Union
 
 import numpy as np
 
-from .elements import Truncation, _require_finite, _require_transmissivity
-from .qcore import JointState, Path
+from .elements import Truncation
+from .qcore import JointState, Path, _require_member, _require_real
 
 __all__ = [
     "I_REF_NORM",
@@ -81,9 +81,9 @@ class Absorber:
     transmissivity: float
 
     def __post_init__(self) -> None:
-        if not isinstance(self.path, Path):
-            raise TypeError(f"path must be a Path, got {self.path!r}")
-        object.__setattr__(self, "transmissivity", _require_transmissivity(self.transmissivity))
+        _require_member("path", self.path, Path)
+        t = _require_real("transmissivity", self.transmissivity, "lie in [0, 1]")
+        object.__setattr__(self, "transmissivity", t)
 
 
 @dataclass(frozen=True)
@@ -95,11 +95,9 @@ class Magnet:
     truncation: Truncation = Truncation.EXACT
 
     def __post_init__(self) -> None:
-        if not isinstance(self.path, Path):
-            raise TypeError(f"path must be a Path, got {self.path!r}")
-        if not isinstance(self.truncation, Truncation):
-            raise TypeError(f"truncation must be a Truncation, got {self.truncation!r}")
-        object.__setattr__(self, "alpha_rad", _require_finite("alpha_rad", self.alpha_rad))
+        _require_member("path", self.path, Path)
+        _require_member("truncation", self.truncation, Truncation)
+        object.__setattr__(self, "alpha_rad", _require_real("alpha_rad", self.alpha_rad))
 
 
 Insertion = Union[Absorber, Magnet, None]
@@ -115,7 +113,7 @@ class Scenario:
     def __post_init__(self) -> None:
         if self.insertion is not None and not isinstance(self.insertion, (Absorber, Magnet)):
             raise TypeError(f"insertion must be None, Absorber or Magnet, got {self.insertion!r}")
-        object.__setattr__(self, "chi_rad", _require_finite("chi_rad", self.chi_rad))
+        object.__setattr__(self, "chi_rad", _require_real("chi_rad", self.chi_rad))
 
 
 class Detector(Enum):
@@ -320,13 +318,6 @@ def run_batch(template: Scenario, *, chi_rad=None, alpha_rad=None) -> np.ndarray
         return _readout(chi, getattr(ins, "path", None), factor, alpha)
 
 
-def _require_scale(scale_ref_cps: float) -> float:
-    scale = _require_finite("scale_ref_cps", scale_ref_cps)
-    if scale <= 0.0:
-        raise ValueError(f"scale_ref_cps must be positive, got {scale}")
-    return scale
-
-
 def count_rate(intensity_norm, scale_ref_cps: float):
     """Count rate of a normalized intensity (a float or an array).
 
@@ -349,7 +340,7 @@ def run(
     scenario: Scenario, scale_ref_cps: float = DEFAULT_SCALE_REF_CPS
 ) -> dict[Detector, IntensityRecord]:
     """Simulate one scenario and return one record per detector (see :func:`count_rate`)."""
-    scale = _require_scale(scale_ref_cps)
+    scale = _require_real("scale_ref_cps", scale_ref_cps, "be positive")
     return {
         det: IntensityRecord(scenario, det, norm, count_rate(norm, scale), scale)
         for det, norm in zip(_DETECTORS, _readout_one(scenario))
@@ -387,7 +378,7 @@ def sweep_chi(
     scale_ref_cps: float = DEFAULT_SCALE_REF_CPS,
 ) -> list[IntensityRecord]:
     """Run the template at each phase value; three records per grid point."""
-    scale = _require_scale(scale_ref_cps)
+    scale = _require_real("scale_ref_cps", scale_ref_cps, "be positive")
     chi = np.fromiter(chi_values, dtype=float)
     readings = run_batch(template, chi_rad=chi)
     scenarios = [dataclasses.replace(template, chi_rad=value) for value in chi.tolist()]
@@ -400,7 +391,7 @@ def sweep_alpha(
     scale_ref_cps: float = DEFAULT_SCALE_REF_CPS,
 ) -> list[IntensityRecord]:
     """Run the template at each rotation angle; requires a magnet insertion."""
-    scale = _require_scale(scale_ref_cps)
+    scale = _require_real("scale_ref_cps", scale_ref_cps, "be positive")
     alpha = np.fromiter(alpha_values, dtype=float)
     readings = run_batch(template, alpha_rad=alpha)
     scenarios = [

@@ -17,6 +17,8 @@ All objects are immutable after construction and all operations are pure.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -62,6 +64,39 @@ class Path(Enum):
 
     I = 0
     II = 1
+
+
+# Input rules, keyed by the rule as its error states it.  Each allows the
+# finite floats in [low, high] except one value; NaN excludes nothing.
+_MAX = sys.float_info.max
+_RULES = {
+    "be finite": (-_MAX, _MAX, math.nan),
+    "be positive": (0.0, _MAX, 0.0),
+    "be >= 0": (0.0, _MAX, math.nan),
+    "be finite and nonzero": (-_MAX, _MAX, 0.0),
+    "lie in [0, 1]": (0.0, 1.0, math.nan),
+    "lie in [0, 1)": (0.0, 1.0, 1.0),
+}
+
+
+def _require_real(name: str, value, rule: str = "be finite") -> float:
+    """``value`` as a float if it is a finite number meeting ``rule``; else ValueError, text too."""
+    if type(value) is not float and not isinstance(value, (str, bytes)):
+        try:
+            value = float(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    low, high, excluded = _RULES[rule]
+    if type(value) is float and low <= value <= high and value != excluded:
+        return value
+    raise ValueError(f"{name} must {rule}, got {value!r}")
+
+
+def _require_member(name: str, value, kind: type[Enum]):
+    """``value`` if a member of ``kind``, else a TypeError like "path must be a Path, got 'I'"."""
+    if isinstance(value, kind):
+        return value
+    raise TypeError(f"{name} must be a {kind.__name__}, got {value!r}")
 
 
 Z_UP = np.array([1.0, 0.0], dtype=complex)

@@ -41,6 +41,8 @@ from .qcore import (
     JointOperator,
     JointState,
     Path,
+    _require_member,
+    _require_real,
     inner,
     path_projector,
     tensor,
@@ -64,6 +66,9 @@ __all__ = [
 # undefined rather than amplified into numerical noise.
 DEGENERATE_OVERLAP = 1e-12
 
+# Squared-magnitude estimates below minus this are inconsistent input, not rounding.
+_NEGATIVE_TOLERANCE = 1e-9
+
 
 class DegeneratePostselectionError(ValueError):
     """Raised when |<psi_f|psi_i>| is too small for a weak value to mean anything."""
@@ -71,12 +76,12 @@ class DegeneratePostselectionError(ValueError):
 
 def path_projector_operator(path: Path) -> JointOperator:
     """Joint projector onto one path (identity on spin)."""
-    return tensor(ID2, path_projector(path))
+    return tensor(ID2, path_projector(_require_member("path", path, Path)))
 
 
 def spin_z_path_operator(path: Path) -> JointOperator:
     """sigma_z restricted to one path: tensor(sigma_z, |path><path|)."""
-    return tensor(SIGMA_Z, path_projector(path))
+    return tensor(SIGMA_Z, path_projector(_require_member("path", path, Path)))
 
 
 def _checked_overlap(overlap: complex) -> complex:
@@ -141,12 +146,9 @@ def weakvalue_intensity(
     Only the real part of the path weak value enters the intensity; for the
     standard states it is exactly real anyway.
     """
-    alpha = float(alpha_rad)
-    if not math.isfinite(alpha):
-        raise ValueError(f"alpha_rad must be finite, got {alpha!r}")
-    if not (math.isfinite(i_ref_norm) and i_ref_norm > 0.0):
-        raise ValueError(f"i_ref_norm must be positive, got {i_ref_norm!r}")
-    if path is Path.I:
+    alpha = _require_real("alpha_rad", alpha_rad)
+    i_ref_norm = _require_real("i_ref_norm", i_ref_norm, "be positive")
+    if _require_member("path", path, Path) is Path.I:
         pi_w, sigma_pi_w = weak_values.pi_i, weak_values.sigma_pi_i
     else:
         pi_w, sigma_pi_w = weak_values.pi_ii, weak_values.sigma_pi_ii
@@ -160,6 +162,7 @@ def projective_spin_expectation(path: Path, psi: JointState | None = None) -> fl
     Both paths of the standard input state carry transverse spin, so the
     answer is 0 for either path, independent of any downstream settings.
     """
+    _require_member("path", path, Path)
     spin = (_PREPARED if psi is None else psi.amp.reshape(2, 2))[path.value]
     weight = float(np.vdot(spin, spin).real)
     if weight == 0.0:
@@ -176,10 +179,15 @@ class WeakValueEstimate:
     source: str
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.value):
-            raise ValueError(f"estimate value must be finite, got {self.value!r}")
-        if not (math.isfinite(self.uncertainty) and self.uncertainty >= 0.0):
-            raise ValueError(f"uncertainty must be finite and >= 0, got {self.uncertainty!r}")
+        _require_real("estimate value", self.value)
+        _require_real("uncertainty", self.uncertainty, "be >= 0")
+
+
+def _estimate(value: float, uncertainty: float, source: str, i_ref_norm: float):
+    """The estimate; an uncertainty that overflows on a finite value blames ``i_ref_norm``."""
+    if math.isfinite(value) and not math.isfinite(uncertainty):
+        raise ValueError(f"i_ref_norm is too small for a finite uncertainty, got {i_ref_norm!r}")
+    return WeakValueEstimate(value=value, uncertainty=uncertainty, source=source)
 
 
 def estimate_sigma_pi(
@@ -190,7 +198,6 @@ def estimate_sigma_pi(
     *,
     sigma_i_mag: float = 0.0,
     sigma_i_ref: float = 0.0,
-    negative_tolerance: float = 1e-9,
 ) -> WeakValueEstimate:
     """Invert the second-order intensity expansion for |<sigma_z Pi_j>_w|.
 
@@ -198,45 +205,42 @@ def estimate_sigma_pi(
 
         |<sigma_z Pi_j>_w|^2 = (4/alpha^2) (I_mag/I_ref - 1) + pi_w,
 
-    and returns its square root.  A squared magnitude below
-    ``-negative_tolerance`` is reported as an error (inconsistent inputs);
-    small negatives within the tolerance are clamped to zero.
+    and returns its square root.  A squared magnitude below -1e-9 is
+    reported as an error (inconsistent inputs); smaller negatives are
+    clamped to zero.
 
-    Uncertainties on the two intensities propagate first-order onto the
-    squared magnitude; when the estimate is strictly positive that variance
-    is mapped through the square root, and at zero (where the first-order
-    map is singular) the square root of the squared-magnitude sigma is
-    reported instead.
+    Uncertainties on the two intensities propagate first-order, through the
+    ratio I_mag/I_ref, onto the squared magnitude; when the estimate is
+    strictly positive that variance is mapped through the square root, and
+    at zero (where the first-order map is singular) the square root of the
+    squared-magnitude sigma is reported instead.
     """
-    alpha = float(alpha_rad)
-    if not (math.isfinite(alpha) and alpha != 0.0):
-        raise ValueError(f"alpha_rad must be finite and nonzero, got {alpha_rad!r}")
-    if not (math.isfinite(i_ref_norm) and i_ref_norm > 0.0):
-        raise ValueError(f"i_ref_norm must be positive, got {i_ref_norm!r}")
-    if not math.isfinite(i_mag_norm):
-        raise ValueError(f"i_mag_norm must be finite, got {i_mag_norm!r}")
+    alpha = _require_real("alpha_rad", alpha_rad, "be finite and nonzero")
+    i_ref_norm = _require_real("i_ref_norm", i_ref_norm, "be positive")
+    i_mag_norm = _require_real("i_mag_norm", i_mag_norm)
+    pi_w = _require_real("pi_w", pi_w)
+    sigma_i_mag = _require_real("sigma_i_mag", sigma_i_mag, "be >= 0")
+    sigma_i_ref = _require_real("sigma_i_ref", sigma_i_ref, "be >= 0")
 
     square = alpha * alpha
     inv = 4.0 / square if square > 0.0 else math.inf
     if not math.isfinite(inv):
         raise ValueError(f"alpha_rad is too small for 4/alpha^2 to be finite, got {alpha_rad!r}")
-    squared = inv * (i_mag_norm / i_ref_norm - 1.0) + float(pi_w)
-    if squared < -float(negative_tolerance):
+    ratio = i_mag_norm / i_ref_norm
+    squared = inv * (ratio - 1.0) + pi_w
+    if squared < -_NEGATIVE_TOLERANCE:
         raise ValueError(
-            f"squared-magnitude estimate {squared:.6e} is below -{negative_tolerance:.0e}; "
+            f"squared-magnitude estimate {squared:.6e} is below -{_NEGATIVE_TOLERANCE:.0e}; "
             "the supplied intensities are inconsistent with the model"
         )
 
-    d_mag = inv / i_ref_norm
-    d_ref = inv * i_mag_norm / (i_ref_norm * i_ref_norm)
-    var_squared = (d_mag * float(sigma_i_mag)) ** 2 + (d_ref * float(sigma_i_ref)) ** 2
-
+    sigma_squared = inv * (math.hypot(sigma_i_mag, ratio * sigma_i_ref) / i_ref_norm)
     value = math.sqrt(max(squared, 0.0))
     if value > 0.0:
-        uncertainty = math.sqrt(var_squared) / (2.0 * value)
+        uncertainty = sigma_squared / (2.0 * value)
     else:
-        uncertainty = math.sqrt(math.sqrt(var_squared)) if var_squared > 0.0 else 0.0
-    return WeakValueEstimate(value=value, uncertainty=uncertainty, source="magnet-inversion")
+        uncertainty = math.sqrt(sigma_squared)
+    return _estimate(value, uncertainty, "magnet-inversion", i_ref_norm)
 
 
 def estimate_pi_from_absorber(
@@ -254,17 +258,14 @@ def estimate_pi_from_absorber(
     Valid for 0 <= T < 1; at T = 1 the absorber leaves no signal to invert
     and the call is rejected.
     """
-    t = float(transmissivity)
-    if not (math.isfinite(t) and 0.0 <= t < 1.0):
-        raise ValueError(f"transmissivity must lie in [0, 1), got {transmissivity!r}")
-    if not (math.isfinite(i_ref_norm) and i_ref_norm > 0.0):
-        raise ValueError(f"i_ref_norm must be positive, got {i_ref_norm!r}")
-    if not math.isfinite(i_abs_norm):
-        raise ValueError(f"i_abs_norm must be finite, got {i_abs_norm!r}")
+    t = _require_real("transmissivity", transmissivity, "lie in [0, 1)")
+    i_ref_norm = _require_real("i_ref_norm", i_ref_norm, "be positive")
+    i_abs_norm = _require_real("i_abs_norm", i_abs_norm)
+    sigma_i_abs = _require_real("sigma_i_abs", sigma_i_abs, "be >= 0")
+    sigma_i_ref = _require_real("sigma_i_ref", sigma_i_ref, "be >= 0")
 
     gain = 1.0 / (2.0 * (1.0 - math.sqrt(t)))
-    value = (1.0 - i_abs_norm / i_ref_norm) * gain
-    d_abs = gain / i_ref_norm
-    d_ref = gain * i_abs_norm / (i_ref_norm * i_ref_norm)
-    uncertainty = math.hypot(d_abs * float(sigma_i_abs), d_ref * float(sigma_i_ref))
-    return WeakValueEstimate(value=value, uncertainty=uncertainty, source="absorber-inversion")
+    ratio = i_abs_norm / i_ref_norm
+    value = (1.0 - ratio) * gain
+    uncertainty = gain * (math.hypot(sigma_i_abs, ratio * sigma_i_ref) / i_ref_norm)
+    return _estimate(value, uncertainty, "absorber-inversion", i_ref_norm)

@@ -1,0 +1,128 @@
+"""The one input-validation layer, checked parameter by parameter.
+
+Every public scalar parameter takes a finite number in its range and
+rejects anything else, ``None`` and text included, with a ValueError whose
+message starts with the parameter's name.  Every path parameter rejects
+anything that is not a :class:`Path` with a TypeError, and every truncation
+parameter anything that is not a :class:`Truncation`.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from cheshire.analysis import (
+    cheshire_witness,
+    duration_for_rate_sigma,
+    fit_loglog_slope,
+    poisson_counts,
+    reproduce_benchmark_table,
+    truncation_scan,
+)
+from cheshire.elements import (
+    Truncation,
+    absorber,
+    magnetic_rotation,
+    phase_shifter,
+    spin_rotation_matrix,
+)
+from cheshire.experiment import Absorber, Magnet, Scenario, run, sweep_alpha, sweep_chi
+from cheshire.qcore import Path
+from cheshire.weak import (
+    estimate_pi_from_absorber,
+    estimate_sigma_pi,
+    exact_weak_values,
+    path_projector_operator,
+    projective_spin_expectation,
+    spin_z_path_operator,
+    weakvalue_intensity,
+)
+
+WEAK_VALUES = exact_weak_values()
+MAGNET_II = Scenario(insertion=Magnet(Path.II, 0.2))
+
+# (function, parameter, a call passing ``v`` as that parameter and valid values elsewhere)
+SCALARS = [
+    ("Absorber", "transmissivity", lambda v: Absorber(Path.I, v)),
+    ("Magnet", "alpha_rad", lambda v: Magnet(Path.I, v)),
+    ("Scenario", "chi_rad", lambda v: Scenario(chi_rad=v)),
+    ("run", "scale_ref_cps", lambda v: run(Scenario(), v)),
+    ("sweep_chi", "scale_ref_cps", lambda v: sweep_chi(Scenario(), [0.0], v)),
+    ("sweep_alpha", "scale_ref_cps", lambda v: sweep_alpha(MAGNET_II, [0.1], v)),
+    ("reproduce_benchmark_table", "scale_ref_cps", reproduce_benchmark_table),
+    ("estimate_sigma_pi", "i_mag_norm", lambda v: estimate_sigma_pi(v, 0.25, 0.2, 0.0)),
+    ("estimate_sigma_pi", "i_ref_norm", lambda v: estimate_sigma_pi(0.25, v, 0.2, 0.0)),
+    ("estimate_sigma_pi", "alpha_rad", lambda v: estimate_sigma_pi(0.25, 0.25, v, 0.0)),
+    ("estimate_sigma_pi", "pi_w", lambda v: estimate_sigma_pi(0.25, 0.25, 0.2, v)),
+    ("estimate_sigma_pi", "sigma_i_mag",
+     lambda v: estimate_sigma_pi(0.25, 0.25, 0.2, 0.0, sigma_i_mag=v)),
+    ("estimate_sigma_pi", "sigma_i_ref",
+     lambda v: estimate_sigma_pi(0.25, 0.25, 0.2, 0.0, sigma_i_ref=v)),
+    ("estimate_pi_from_absorber", "i_abs_norm", lambda v: estimate_pi_from_absorber(v, 0.25, 0.5)),
+    ("estimate_pi_from_absorber", "i_ref_norm", lambda v: estimate_pi_from_absorber(0.2, v, 0.5)),
+    ("estimate_pi_from_absorber", "transmissivity",
+     lambda v: estimate_pi_from_absorber(0.2, 0.25, v)),
+    ("estimate_pi_from_absorber", "sigma_i_abs",
+     lambda v: estimate_pi_from_absorber(0.2, 0.25, 0.5, sigma_i_abs=v)),
+    ("estimate_pi_from_absorber", "sigma_i_ref",
+     lambda v: estimate_pi_from_absorber(0.2, 0.25, 0.5, sigma_i_ref=v)),
+    ("weakvalue_intensity", "alpha_rad",
+     lambda v: weakvalue_intensity(v, Path.I, WEAK_VALUES, 0.25)),
+    ("weakvalue_intensity", "i_ref_norm",
+     lambda v: weakvalue_intensity(0.1, Path.I, WEAK_VALUES, v)),
+    ("cheshire_witness", "alpha_rad", cheshire_witness),
+    ("poisson_counts", "rate_cps", lambda v: poisson_counts(v, 1.0, 0)),
+    ("poisson_counts", "duration_s", lambda v: poisson_counts(1.0, v, 0)),
+    ("duration_for_rate_sigma", "rate_cps", lambda v: duration_for_rate_sigma(v, 0.1)),
+    ("duration_for_rate_sigma", "sigma_cps", lambda v: duration_for_rate_sigma(10.0, v)),
+    ("fit_loglog_slope", "floor", lambda v: fit_loglog_slope([1, 2, 3], [1, 2, 3], floor=v)),
+    ("spin_rotation_matrix", "alpha_rad", spin_rotation_matrix),
+    ("magnetic_rotation", "alpha_rad", lambda v: magnetic_rotation(Path.I, v)),
+    ("phase_shifter", "chi_rad", phase_shifter),
+    ("absorber", "transmissivity", lambda v: absorber(Path.I, v)),
+]
+
+# Not a finite number: text is rejected even when it spells one.
+NOT_FINITE_NUMBERS = [math.nan, math.inf, -math.inf, None, "x", "0.5"]
+
+PATHS = [
+    ("magnetic_rotation", lambda p: magnetic_rotation(p, 0.1)),
+    ("absorber", lambda p: absorber(p, 0.5)),
+    ("Absorber", lambda p: Absorber(p, 0.5)),
+    ("Magnet", lambda p: Magnet(p, 0.1)),
+    ("path_projector_operator", path_projector_operator),
+    ("spin_z_path_operator", spin_z_path_operator),
+    ("weakvalue_intensity", lambda p: weakvalue_intensity(0.1, p, WEAK_VALUES, 0.25)),
+    ("projective_spin_expectation", projective_spin_expectation),
+    ("truncation_scan", lambda p: truncation_scan(p, np.geomspace(0.01, 0.3, 10))),
+]
+
+TRUNCATIONS = [
+    ("spin_rotation_matrix", lambda t: spin_rotation_matrix(0.1, t)),
+    ("magnetic_rotation", lambda t: magnetic_rotation(Path.I, 0.1, t)),
+    ("Magnet", lambda t: Magnet(Path.I, 0.1, t)),
+]
+
+
+@pytest.mark.parametrize("bad", NOT_FINITE_NUMBERS, ids=repr)
+@pytest.mark.parametrize(
+    "parameter, call", [s[1:] for s in SCALARS], ids=[f"{f}.{p}" for f, p, _ in SCALARS]
+)
+def test_scalar_parameter_rejects_what_is_not_a_finite_number(parameter, call, bad):
+    with pytest.raises(ValueError) as info:
+        call(bad)
+    assert str(info.value).startswith(f"{parameter} must "), str(info.value)
+    assert str(info.value).endswith(f", got {bad!r}")
+
+
+@pytest.mark.parametrize("call", [c for _, c in PATHS], ids=[n for n, _ in PATHS])
+def test_path_parameter_rejects_what_is_not_a_path(call):
+    with pytest.raises(TypeError, match=r"^path must be a Path, got 'I'$"):
+        call("I")
+
+
+@pytest.mark.parametrize("call", [c for _, c in TRUNCATIONS], ids=[n for n, _ in TRUNCATIONS])
+def test_truncation_parameter_rejects_what_is_not_a_truncation(call):
+    with pytest.raises(TypeError, match=r"^truncation must be a Truncation, got 'exact'$"):
+        call(Truncation.EXACT.value)

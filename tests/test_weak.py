@@ -204,6 +204,41 @@ class TestEstimateSigmaPi:
         est = estimate_sigma_pi(0.2525, 0.25, 0.2, pi_w=0.0)
         assert est.uncertainty == 0.0
 
+    def test_tolerance_is_not_a_keyword(self):
+        # a caller-set tolerance could turn inconsistent input into an estimate
+        with pytest.raises(TypeError):
+            estimate_sigma_pi(0.225, 0.25, 0.2, 0.0, negative_tolerance=math.nan)
+
+    @pytest.mark.parametrize("sigma", ["sigma_i_mag", "sigma_i_ref"])
+    def test_rejects_a_negative_sigma(self, sigma):
+        with pytest.raises(ValueError, match=rf"^{sigma} must be >= 0, got -1.0$"):
+            estimate_sigma_pi(0.2525, 0.25, 0.2, 0.0, **{sigma: -1.0})
+
+
+class TestTinyReference:
+    """A tiny i_ref_norm: the error propagates through I/I_ref, never I_ref squared."""
+
+    def test_absorber_estimate(self):
+        est = estimate_pi_from_absorber(0.25, 1e-200, 0.5)
+        assert est.value == (1.0 - 0.25 / 1e-200) / (2.0 * (1.0 - math.sqrt(0.5)))
+        assert est.uncertainty == 0.0
+
+    def test_magnet_estimate(self):
+        est = estimate_sigma_pi(0.25, 1e-200, 0.2, 0.0)
+        assert est.value == math.sqrt(4.0 / 0.2**2 * (0.25 / 1e-200 - 1.0))
+        assert est.uncertainty == 0.0
+
+    def test_uncertainty_that_overflows_names_the_reference(self):
+        with pytest.raises(ValueError, match=r"^i_ref_norm is too small .* got 1e-160$"):
+            estimate_sigma_pi(0.25, 1e-160, 0.2, 0.0, sigma_i_ref=1.0)
+
+    def test_uncertainty_whose_squared_terms_overflow(self):
+        # (4/alpha^2) I_mag / I_ref^2 = 1e162 squares past the float range,
+        # but the uncertainty itself is finite
+        est = estimate_sigma_pi(1.01e-160, 1e-160, 0.2, 0.0, sigma_i_ref=1.0)
+        expected = 100.0 * 1.01 / 1e-160 / (2.0 * est.value)
+        assert est.uncertainty == pytest.approx(expected, rel=1e-12)
+
 
 class TestEstimatePiFromAbsorber:
     def test_no_attenuation_response_means_zero(self):
@@ -234,6 +269,11 @@ class TestEstimatePiFromAbsorber:
         est = estimate_pi_from_absorber(0.24, 0.25, 0.75, sigma_i_abs=0.001)
         gain = 1.0 / (2 * (1 - math.sqrt(0.75)))
         assert est.uncertainty == pytest.approx(gain * 0.001 / 0.25, rel=1e-9)
+
+    @pytest.mark.parametrize("sigma", ["sigma_i_abs", "sigma_i_ref"])
+    def test_rejects_a_negative_sigma(self, sigma):
+        with pytest.raises(ValueError, match=rf"^{sigma} must be >= 0, got -1.0$"):
+            estimate_pi_from_absorber(0.24, 0.25, 0.75, **{sigma: -1.0})
 
 
 @given(st.floats(min_value=0.01, max_value=0.5, allow_nan=False))
