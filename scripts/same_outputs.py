@@ -1,0 +1,157 @@
+#!/usr/bin/env python3
+"""Check that the CLI and the acceptance suite print the same bytes as at a base commit.
+
+Usage:  python scripts/same_outputs.py BASE
+
+BASE is any git revision.  The script exports it with ``git archive`` into a
+temporary directory, runs one fixed list of ``cheshire`` commands in that
+tree and in this working tree (uncommitted edits included) with the same
+interpreter, and compares each command's exit status, stdout, stderr and CSV
+file byte for byte.  It then runs ``pytest -q -s tests/test_acceptance.py``
+in both trees and compares the output, with a trailing `` in N.NNs`` cut from
+each line: criteria 03 and 09 print their own wall time, and pytest its own.
+
+Exit status 0 means every output is identical, 1 that some output differs
+(each difference is shown), 2 that BASE is not a commit.  The exported tree
+is removed on exit.  A change that alters an output on purpose fails this
+check, so it is run by hand, not in CI.  Standard library only.
+"""
+
+from __future__ import annotations
+
+import difflib
+import io
+import itertools
+import os
+import re
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# No insertion, an absorber on each path, a magnet on each path in each truncation.
+TEMPLATES = [
+    [],
+    ["--insertion", "absorber", "--path", "I", "--transmissivity", "0.5"],
+    ["--insertion", "absorber", "--path", "II", "--transmissivity", "0.5"],
+] + [
+    ["--insertion", "magnet", "--path", path, "--alpha-deg", "20", "--truncation", truncation]
+    for path in ("I", "II")
+    for truncation in ("exact", "linear", "quadratic")
+]
+
+# A trailing wall time, as in "(want 4±0.2) in 0.01s" or "10 passed in 0.42s".
+WALL_TIME = re.compile(rb" in \d+\.\d+s$", re.MULTILINE)
+
+# Lines of a unified diff shown per differing output.
+DIFF_LINES = 20
+
+
+def commands() -> list[tuple[list[str], str | None]]:
+    """Each ``cheshire`` argv to run, with the CSV file it writes (or None)."""
+    runs: list[tuple[list[str], str | None]] = [
+        (["weakvalues"], None),
+        (["reproduce"], None),
+        (["reproduce", "--scale-ref-cps", "20"], None),
+    ]
+    for n, template in enumerate(TEMPLATES):
+        runs.append((["run", *template], None))
+        runs.append((["run", *template, "--chi-deg", "30"], None))
+        for vary in ("chi", "alpha") if "magnet" in template else ("chi",):
+            csv = f"sweep_{vary}_{n}.csv"
+            runs.append((["sweep", *template, "--vary", vary, "--points", "25", "--csv", csv], csv))
+    for path in ("I", "II"):
+        csv = f"analyze_{path}.csv"
+        runs.append((["analyze", "--path", path, "--csv", csv], csv))
+    return runs
+
+
+def outputs(tree: Path, work: Path) -> dict[str, bytes]:
+    """Every output of the command list and the acceptance suite run on ``tree``, by label.
+
+    The commands run in ``work``, where their CSV files land; the tree's own
+    path is replaced by ``<tree>`` so that the two trees' messages compare.
+    """
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
+    work.mkdir()
+    found: dict[str, bytes] = {}
+
+    def call(label: str, argv: list[str]) -> bytes:
+        done = subprocess.run(argv, cwd=work, env=env, capture_output=True)
+        here = os.fsencode(tree)
+        found[f"{label}: exit status"] = str(done.returncode).encode()
+        found[f"{label}: stderr"] = done.stderr.replace(here, b"<tree>")
+        return done.stdout.replace(here, b"<tree>")
+
+    for argv, csv in commands():
+        label = " ".join(["cheshire", *argv])
+        found[f"{label}: stdout"] = call(label, [sys.executable, "-m", "cheshire", *argv])
+        if csv is not None:
+            written = work / csv
+            found[f"{label}: {csv}"] = written.read_bytes() if written.exists() else b"<none>"
+
+    suite = tree / "tests" / "test_acceptance.py"
+    label = "pytest -q -s tests/test_acceptance.py"
+    stdout = call(label, [sys.executable, "-m", "pytest", "-q", "-s", "-p", "no:cacheprovider", str(suite)])
+    found[f"{label}: stdout, wall times cut"] = WALL_TIME.sub(b"", stdout)
+    return found
+
+
+def export(revision: str, into: Path) -> None:
+    """Write the tree of ``revision`` into ``into``."""
+    archive = subprocess.run(
+        ["git", "-C", str(ROOT), "archive", "--format=tar", revision],
+        capture_output=True,
+        check=True,
+    ).stdout
+    # the "data" filter (Python 3.10.12+, 3.11.4+) refuses links and paths out of ``into``
+    safe = {"filter": "data"} if hasattr(tarfile, "data_filter") else {}
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(into, **safe)
+
+
+def show(label: str, before: bytes, after: bytes) -> None:
+    print(f"DIFFERS  {label}")
+    diff = difflib.unified_diff(
+        before.decode(errors="replace").splitlines(keepends=True),
+        after.decode(errors="replace").splitlines(keepends=True),
+        "base",
+        "this tree",
+        n=0,
+    )
+    for line in itertools.islice(diff, DIFF_LINES):
+        print("    " + line, end="" if line.endswith("\n") else "\n")
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print("usage: python scripts/same_outputs.py BASE", file=sys.stderr)
+        return 2
+    base = argv[0]
+    resolved = subprocess.run(
+        ["git", "-C", str(ROOT), "rev-parse", "--verify", "--quiet", f"{base}^{{commit}}"],
+        capture_output=True,
+        text=True,
+    )
+    if resolved.returncode != 0:
+        print(f"error: {base!r} is not a commit", file=sys.stderr)
+        return 2
+
+    with tempfile.TemporaryDirectory(prefix="same_outputs_") as tmp:
+        scratch = Path(tmp)
+        export(resolved.stdout.strip(), scratch / "base")
+        before = outputs(scratch / "base", scratch / "base_out")
+        after = outputs(ROOT, scratch / "tree_out")
+
+    differing = [label for label in before if before[label] != after[label]]
+    for label in differing:
+        show(label, before[label], after[label])
+    print(f"{len(before) - len(differing)} of {len(before)} outputs identical to {base}")
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -22,8 +22,8 @@ from .experiment import (
     I_REF_NORM,
     Magnet,
     Scenario,
+    _factor,
     _readout,
-    _rotation_factor,
     closed_form_o,
     count_rate,
 )
@@ -90,9 +90,13 @@ def _o_selected_by_truncation(path: Path, alpha: np.ndarray) -> np.ndarray:
     first bad linear angle before any quadratic one, as one run_batch call per
     truncation would; the exact rotation never overflows.
     """
+    c, s = np.empty((2, len(Truncation), alpha.size))
     with np.errstate(over="ignore", invalid="ignore"):
-        factor = np.concatenate([_rotation_factor(t, alpha) for t in Truncation])
-        readings = _readout(np.zeros(len(factor)), path, factor, np.tile(alpha, len(Truncation)))
+        for row, truncation in enumerate(Truncation):
+            _, c[row], s[row] = _factor(Magnet(path, 0.0, truncation), alpha)
+        readings = _readout(
+            np.zeros(c.size), path, c.ravel(), s.ravel(), np.tile(alpha, len(Truncation))
+        )
     return readings[:, 0].reshape(len(Truncation), alpha.size)
 
 

@@ -18,16 +18,19 @@ published reference rate).
 
 Every element is block-diagonal in path, so :func:`run_batch` evaluates a
 whole grid in one numpy pass on an ``(N, path, spin)`` amplitude array:
-the insertion is a per-path factor on the spin diagonal, the phase a
-per-path scalar, and the recombiner plus spin filter one fixed
+the insertion multiplies one path's spin diagonal by c + i s sigma_z, the
+phase is a per-path scalar, and the recombiner plus spin filter one fixed
 contraction whose 1/sqrt(2) factors are folded into exact powers of two.
-The sweeps are one call each; the truncation scan and witness of
-:mod:`cheshire.analysis` stack their three rotations into one pass of the
-same kernel.  :func:`run`, always one point, reads its scenario out in
-Python scalars instead, with the same bits as the kernel's row: the one
-general complex product (an amplitude times a rotation's ``c ± i s``)
-goes through ``np.multiply``, whose loop may fuse a multiply-add, and each
-port sums its squares in numpy's order.  The canonical weak values read
+One map, ``_factor``, gives every insertion as ``(path, c, s)``: an
+absorber is (sqrt(T), 0), a magnet its truncation's (c, s) of
+``_ROTATION``.  The sweeps are one call each; the truncation scan and
+witness of :mod:`cheshire.analysis` stack their three rotations' (c, s)
+into one pass of the same kernel.  :func:`run`, always one point, reads
+its scenario out in Python scalars instead, with the same bits as the
+kernel's row: a real factor is a Python product, the one general complex
+product (an amplitude times a rotation's ``c ± i s``) goes through
+``np.multiply``, whose loop may fuse a multiply-add, and each port sums
+its squares in numpy's order.  The canonical weak values read
 the same ``(path, spin)`` constants.  The 4x4 joint algebra of
 :mod:`cheshire.qcore` and :mod:`cheshire.elements` is not on either path;
 it serves :func:`cheshire.weak.weak_value` for arbitrary operators and is the
@@ -170,12 +173,19 @@ _ROTATION = {
 }
 
 
-def _rotation_factor(truncation: Truncation, alpha: np.ndarray) -> np.ndarray:
-    """``(N, 2)`` spin diagonals of the rotation, one row per angle of ``alpha``."""
-    c, s = _ROTATION[truncation](alpha[:, np.newaxis])
-    factor = s * _I_SIGMA_Z
-    factor += c  # in place: one (N, 2) temporary fewer on a long grid
-    return factor
+def _factor(insertion: Insertion, alpha: np.ndarray | None = None) -> tuple:
+    """The insertion as ``(path, c, s)``: it scales ``path``'s spin diagonal by c + i s sigma_z.
+
+    An absorber is (sqrt(T), 0).  A magnet is its truncation's row of
+    ``_ROTATION``, at its own angle or, when ``alpha`` is given, at each angle
+    of that grid.  No insertion is (None, 1, 0).
+    """
+    if insertion is None:
+        return None, 1.0, 0.0
+    if isinstance(insertion, Absorber):
+        return insertion.path, math.sqrt(insertion.transmissivity), 0.0
+    c, s = _ROTATION[insertion.truncation](insertion.alpha_rad if alpha is None else alpha)
+    return insertion.path, c, s
 
 
 # Recombiner: the O port takes path I + path II, the H port path I - path II.
@@ -195,18 +205,22 @@ def _grid(name: str, values) -> np.ndarray:
     return grid
 
 
-def _readout(chi: np.ndarray, path: Path | None, factor, alpha: np.ndarray | None) -> np.ndarray:
+def _readout(chi: np.ndarray, path: Path | None, c, s, alpha: np.ndarray | None) -> np.ndarray:
     """The one array pass: ``(N, 3)`` readings, columns as :class:`Detector`.
 
-    Row n has phase ``chi[n]`` and, on ``path``, the spin diagonal ``factor``:
-    sqrt(T), ``(N, 2)`` rows of ``_ROTATION``, or None for no insertion.
-    ``alpha`` only names a non-finite row in the ValueError.  Callers hold
+    Row n has phase ``chi[n]`` and, on ``path``, the spin diagonal
+    c + i s sigma_z of :func:`_factor`; ``c`` and ``s`` are scalars or one
+    value per row, and a None ``path`` is no insertion.  ``alpha`` only names
+    a non-finite row in the ValueError.  Callers hold
     ``np.errstate(over="ignore", invalid="ignore")``, since a truncated
     rotation at a huge angle overflows.
     """
     amp = _PREPARED * np.exp(np.multiply.outer(chi, _HALF_PHASE))[:, :, np.newaxis]
-    if factor is not None:
+    if path is not None:
+        factor = np.multiply.outer(s, _I_SIGMA_Z)
+        factor += np.asarray(c)[..., np.newaxis]  # in place: one (N, 2) temporary fewer
         amp[:, path.value] *= factor
+        del factor  # freed before the ports are built, which is the peak on a long grid
 
     # ports[n, port, spin]: the filtered O amplitude (times 2, in the
     # spin-up slot), then the O and H ports (times sqrt(2)).
@@ -226,26 +240,23 @@ def _readout_one(scenario: Scenario) -> tuple[float, float, float]:
 
     The four amplitudes are Python complex numbers.  Sums, differences,
     real scalings and powers of two round alike here and in the array
-    kernel.  The product by a magnet's ``c ± i s`` goes through
-    ``np.multiply``, whose complex loop may fuse a multiply-add that
-    Python's ``*`` does not, and each port sums its squares in numpy's
-    order (see :func:`_port_norm`).
+    kernel, so a real factor (s = 0) stays a Python product.  The product
+    by a magnet's ``c ± i s`` goes through ``np.multiply``, whose complex
+    loop may fuse a multiply-add that Python's ``*`` does not, and each port
+    sums its squares in numpy's order (see :func:`_port_norm`).
     """
-    ins = scenario.insertion
+    path, c, s = _factor(scenario.insertion)
     half = scenario.chi_rad / 2.0
-    c, s = 0.5 * math.cos(half), 0.5 * math.sin(half)
+    re, im = 0.5 * math.cos(half), 0.5 * math.sin(half)
     # amp[path][spin] of the prepared state behind the phase shifter
-    amp = [[complex(c, -s), complex(c, -s)], [complex(c, s), complex(-c, -s)]]
-    alpha = None
-    if isinstance(ins, Absorber):
-        t = math.sqrt(ins.transmissivity)
-        amp[ins.path.value] = [a * t for a in amp[ins.path.value]]
-    elif isinstance(ins, Magnet):
-        alpha = ins.alpha_rad
-        rc, rs = _ROTATION[ins.truncation](alpha)
-        with np.errstate(over="ignore", invalid="ignore"):
-            spins = np.multiply(amp[ins.path.value], [complex(rc, rs), complex(rc, -rs)])
-        amp[ins.path.value] = spins.tolist()
+    amp = [[complex(re, -im), complex(re, -im)], [complex(re, im), complex(-re, -im)]]
+    if path is not None:
+        spins = amp[path.value]
+        if s == 0.0:
+            amp[path.value] = [a * c for a in spins]
+        else:
+            with np.errstate(over="ignore", invalid="ignore"):
+                amp[path.value] = np.multiply(spins, [complex(c, s), complex(c, -s)]).tolist()
 
     (i_up, i_down), (ii_up, ii_down) = amp
     o_up, o_down = i_up + ii_up, i_down + ii_down
@@ -255,7 +266,7 @@ def _readout_one(scenario: Scenario) -> tuple[float, float, float]:
         _port_norm(i_up - ii_up, i_down - ii_down) * 0.5,
     )
     if not all(map(math.isfinite, readings)):
-        raise _not_finite(scenario.chi_rad, alpha)
+        raise _not_finite(scenario.chi_rad, getattr(scenario.insertion, "alpha_rad", None))
     return readings
 
 
@@ -297,25 +308,18 @@ def run_batch(template: Scenario, *, chi_rad=None, alpha_rad=None) -> np.ndarray
     if alpha_rad is not None and not magnet:
         raise ValueError("an alpha grid requires a scenario with a magnet insertion")
     chi = np.array([template.chi_rad]) if chi_rad is None else _grid("chi_rad", chi_rad)
-    alpha = factor = None
+    alpha = None
     if magnet:
         alpha = np.array([ins.alpha_rad]) if alpha_rad is None else _grid("alpha_rad", alpha_rad)
-        if alpha.size != chi.size:
-            if 1 not in (alpha.size, chi.size):
-                raise ValueError(
-                    f"chi_rad and alpha_rad grids differ in length ({chi.size} and {alpha.size})"
-                )
-            if chi.size == 1:
-                chi = np.full(alpha.size, chi[0])
-            else:
-                alpha = np.full(chi.size, alpha[0])
-    elif isinstance(ins, Absorber):
-        factor = math.sqrt(ins.transmissivity)
+        try:
+            chi, alpha = np.broadcast_arrays(chi, alpha)
+        except ValueError:
+            raise ValueError(
+                f"chi_rad and alpha_rad grids differ in length ({chi.size} and {alpha.size})"
+            ) from None
 
     with np.errstate(over="ignore", invalid="ignore"):
-        if magnet:
-            factor = _rotation_factor(ins.truncation, alpha)
-        return _readout(chi, getattr(ins, "path", None), factor, alpha)
+        return _readout(chi, *_factor(ins, alpha), alpha)
 
 
 def count_rate(intensity_norm, scale_ref_cps: float):

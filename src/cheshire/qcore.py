@@ -28,8 +28,6 @@ __all__ = [
     "DIM",
     "Spin",
     "Path",
-    "Z_UP",
-    "Z_DOWN",
     "SX_PLUS",
     "SX_MINUS",
     "ID2",
@@ -99,9 +97,6 @@ def _require_member(name: str, value, kind: type[Enum]):
     raise TypeError(f"{name} must be a {kind.__name__}, got {value!r}")
 
 
-Z_UP = np.array([1.0, 0.0], dtype=complex)
-Z_DOWN = np.array([0.0, 1.0], dtype=complex)
-
 # Real transverse-spin states: |x+> = (|up> + |down>)/sqrt(2) and
 # |x-> = (|up> - |down>)/sqrt(2).  With sigma_z = diag(1, -1) this fixes
 # sigma_z |x+-> = |x-+> with a plus sign; any intensity is unaffected by
@@ -116,7 +111,7 @@ SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 def basis_index(spin: Spin, path: Path) -> int:
     """Index of the joint basis vector carrying the given spin and path."""
-    return 2 * path.value + spin.value
+    return _require_member("spin", spin, Spin).value + 2 * _require_member("path", path, Path).value
 
 
 def _as_finite_complex(values, shape, what: str) -> np.ndarray:
@@ -147,12 +142,9 @@ class JointState:
         """Squared norm, i.e. the total detectable intensity."""
         return float(np.vdot(self.amp, self.amp).real)
 
-    def amplitude(self, spin: Spin, path: Path) -> complex:
-        return complex(self.amp[basis_index(spin, path)])
-
     def path_amplitudes(self, path: Path) -> np.ndarray:
         """The 2-component spin amplitude vector riding on one path."""
-        lo = 2 * path.value
+        lo = 2 * _require_member("path", path, Path).value
         return np.array(self.amp[lo : lo + 2], dtype=complex)
 
 
@@ -173,13 +165,8 @@ class JointOperator:
     def __add__(self, other: "JointOperator") -> "JointOperator":
         return JointOperator(self.matrix + other.matrix)
 
-    def __sub__(self, other: "JointOperator") -> "JointOperator":
-        return JointOperator(self.matrix - other.matrix)
-
     def __mul__(self, scalar: complex) -> "JointOperator":
         return JointOperator(self.matrix * scalar)
-
-    __rmul__ = __mul__
 
     def dagger(self) -> "JointOperator":
         return JointOperator(self.matrix.conj().T)
@@ -188,22 +175,20 @@ class JointOperator:
         defect = self.matrix @ self.matrix.conj().T - np.eye(DIM)
         return bool(np.max(np.abs(defect)) <= tol)
 
-    def is_hermitian(self, tol: float = 1e-12) -> bool:
-        return bool(np.max(np.abs(self.matrix - self.matrix.conj().T)) <= tol)
-
 
 def path_projector(path: Path) -> np.ndarray:
     """2x2 projector onto one interferometer path."""
+    i = _require_member("path", path, Path).value
     proj = np.zeros((2, 2), dtype=complex)
-    proj[path.value, path.value] = 1.0
+    proj[i, i] = 1.0
     return proj
 
 
 def spin_on_path(spin_amplitudes, path: Path) -> JointState:
     """Joint state carrying the given 2-component spin vector on one path."""
+    lo = 2 * _require_member("path", path, Path).value
     spin = _as_finite_complex(spin_amplitudes, (2,), "spin amplitudes")
     amp = np.zeros(DIM, dtype=complex)
-    lo = 2 * path.value
     amp[lo : lo + 2] = spin
     return JointState(amp)
 

@@ -6,6 +6,8 @@ and ``spin_select_minus``, and the two must agree over the whole scenario
 space: no insertion, an absorber of any transmissivity, or a magnet on
 either path with any truncation.  ``run`` skips the array pass and reads one
 point out in Python scalars; it must return the kernel's row bit for bit.
+Both take the insertion from the one ``(path, c, s)`` table, ``_factor``,
+which must be the element factories' own spin diagonal.
 """
 
 import dataclasses
@@ -24,6 +26,7 @@ from cheshire.experiment import (
     Detector,
     Magnet,
     Scenario,
+    _factor,
     initial_state,
     run,
     run_batch,
@@ -98,15 +101,38 @@ def test_sweeps_equal_per_point_runs(template, chi_values, alpha_values):
 # The whole scenario space: any finite angle or phase, so truncated rotations
 # at huge angles overflow and both routes must raise.
 any_float = st.floats(allow_nan=False, allow_infinity=False)
-any_scenarios = st.builds(
-    Scenario,
-    st.one_of(
-        st.none(),
-        st.builds(Absorber, paths, st.floats(0.0, 1.0)),
-        st.builds(Magnet, paths, any_float, st.sampled_from(list(Truncation))),
-    ),
-    any_float,
+any_insertions = st.one_of(
+    st.none(),
+    st.builds(Absorber, paths, st.floats(0.0, 1.0)),
+    st.builds(Magnet, paths, any_float, st.sampled_from(list(Truncation))),
 )
+any_scenarios = st.builds(Scenario, any_insertions, any_float)
+
+
+def insertion_operator(insertion) -> qcore.JointOperator:
+    """The insertion's 4x4 operator, from the element factories."""
+    if isinstance(insertion, Absorber):
+        return elements.absorber(insertion.path, insertion.transmissivity)
+    if isinstance(insertion, Magnet):
+        return elements.magnetic_rotation(insertion.path, insertion.alpha_rad, insertion.truncation)
+    return qcore.identity()
+
+
+@settings(max_examples=500, deadline=None)
+@given(any_insertions)
+def test_factor_is_the_factories_spin_diagonal(insertion):
+    # c + i s sigma_z on the inserted path's spin, the identity on the other path
+    path, c, s = _factor(insertion)
+    expected = np.eye(4, dtype=complex)
+    if path is not None:
+        i = 2 * path.value
+        expected[i, i], expected[i + 1, i + 1] = complex(c, s), complex(c, -s)
+    if np.isfinite(expected).all():
+        assert (insertion_operator(insertion).matrix == expected).all()
+    else:
+        # the quadratic c overflows past |alpha| ~ 1.3e154; the factory refuses that matrix
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="finite"):
+            insertion_operator(insertion)
 
 
 def _outcome(readout):

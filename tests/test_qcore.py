@@ -115,9 +115,8 @@ class TestOperatorAlgebra:
         op = JointOperator(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
         assert_allclose(op.dagger().dagger().matrix, op.matrix, atol=0)
 
-    def test_identity_is_unitary_and_hermitian(self):
+    def test_identity_is_unitary(self):
         assert is_unitary(identity())
-        assert identity().is_hermitian()
 
     def test_nonunitary_detected(self):
         # (1 + i a/2 sz)(1 - i a/2 sz) = (1 + a^2/4) 1, so the unitarity

@@ -3,8 +3,9 @@
 Every public scalar parameter takes a finite number in its range and
 rejects anything else, ``None`` and text included, with a ValueError whose
 message starts with the parameter's name.  Every path parameter rejects
-anything that is not a :class:`Path` with a TypeError, and every truncation
-parameter anything that is not a :class:`Truncation`.
+anything that is not a :class:`Path` with a TypeError, every truncation
+parameter anything that is not a :class:`Truncation`, and the spin parameter
+anything that is not a :class:`Spin`.
 """
 
 import math
@@ -27,8 +28,16 @@ from cheshire.elements import (
     phase_shifter,
     spin_rotation_matrix,
 )
-from cheshire.experiment import Absorber, Magnet, Scenario, run, sweep_alpha, sweep_chi
-from cheshire.qcore import Path
+from cheshire.experiment import (
+    Absorber,
+    Magnet,
+    Scenario,
+    initial_state,
+    run,
+    sweep_alpha,
+    sweep_chi,
+)
+from cheshire.qcore import Path, Spin, basis_index, path_projector, spin_on_path
 from cheshire.weak import (
     estimate_pi_from_absorber,
     estimate_sigma_pi,
@@ -96,6 +105,10 @@ PATHS = [
     ("weakvalue_intensity", lambda p: weakvalue_intensity(0.1, p, WEAK_VALUES, 0.25)),
     ("projective_spin_expectation", projective_spin_expectation),
     ("truncation_scan", lambda p: truncation_scan(p, np.geomspace(0.01, 0.3, 10))),
+    ("path_projector", path_projector),
+    ("spin_on_path", lambda p: spin_on_path([1.0, 0.0], p)),
+    ("basis_index", lambda p: basis_index(Spin.UP, p)),
+    ("JointState.path_amplitudes", lambda p: initial_state().path_amplitudes(p)),
 ]
 
 TRUNCATIONS = [
@@ -120,6 +133,11 @@ def test_scalar_parameter_rejects_what_is_not_a_finite_number(parameter, call, b
 def test_path_parameter_rejects_what_is_not_a_path(call):
     with pytest.raises(TypeError, match=r"^path must be a Path, got 'I'$"):
         call("I")
+
+
+def test_spin_parameter_rejects_what_is_not_a_spin():
+    with pytest.raises(TypeError, match=r"^spin must be a Spin, got 'UP'$"):
+        basis_index("UP", Path.I)
 
 
 @pytest.mark.parametrize("call", [c for _, c in TRUNCATIONS], ids=[n for n, _ in TRUNCATIONS])
