@@ -11,9 +11,13 @@ file byte for byte.  It then runs ``pytest -q -s tests/test_acceptance.py``
 in both trees and compares the output, with a trailing `` in N.NNs`` cut from
 each line: criteria 03 and 09 print their own wall time, and pytest its own.
 
-Exit status 0 means every output is identical, 1 that some output differs
-(each difference is shown), 2 that BASE is not a commit.  The exported tree
-is removed on exit.  A change that alters an output on purpose fails this
+Every listed command and the acceptance run must also exit 0 in both trees
+(``reproduce --scale-ref-cps 20`` 2, the code of a theory/data disagreement);
+a run that does not is named, so that two trees that fail alike (an import
+error, a renamed flag) do not pass as identical.  Exit status 0 means every
+output is identical and every run succeeded, 1 that some output differs or
+some run failed (each is shown), 2 that BASE is not a commit.  The exported
+tree is removed on exit.  A change that alters an output on purpose fails this
 check, so it is run by hand, not in CI.  Standard library only.
 """
 
@@ -45,6 +49,12 @@ TEMPLATES = [
 
 # A trailing wall time, as in "(want 4±0.2) in 0.01s" or "10 passed in 0.42s".
 WALL_TIME = re.compile(rb" in \d+\.\d+s$", re.MULTILINE)
+
+# The label suffix of each run's exit status, and the runs whose status in
+# both trees must be other than 0: at a 20 cps reference rate the theory
+# disagrees with the published rates, so reproduce exits 2.
+EXIT_STATUS = ": exit status"
+EXPECTED_STATUS = {"cheshire reproduce --scale-ref-cps 20": b"2"}
 
 # Lines of a unified diff shown per differing output.
 DIFF_LINES = 20
@@ -82,7 +92,7 @@ def outputs(tree: Path, work: Path) -> dict[str, bytes]:
     def call(label: str, argv: list[str]) -> bytes:
         done = subprocess.run(argv, cwd=work, env=env, capture_output=True)
         here = os.fsencode(tree)
-        found[f"{label}: exit status"] = str(done.returncode).encode()
+        found[label + EXIT_STATUS] = str(done.returncode).encode()
         found[f"{label}: stderr"] = done.stderr.replace(here, b"<tree>")
         return done.stdout.replace(here, b"<tree>")
 
@@ -149,8 +159,19 @@ def main(argv: list[str]) -> int:
     differing = [label for label in before if before[label] != after[label]]
     for label in differing:
         show(label, before[label], after[label])
+    failed = []
+    for label in before:
+        if label.endswith(EXIT_STATUS):
+            run = label.removesuffix(EXIT_STATUS)
+            want = EXPECTED_STATUS.get(run, b"0")
+            if before[label] != want or after[label] != want:
+                failed.append(run)
+                print(f"FAILED   {run}: exit status {before[label].decode()} at {base}, "
+                      f"{after[label].decode()} in this tree, want {want.decode()}")
     print(f"{len(before) - len(differing)} of {len(before)} outputs identical to {base}")
-    return 1 if differing else 0
+    if failed:
+        print(f"{len(failed)} runs exited non-zero")
+    return 1 if differing or failed else 0
 
 
 if __name__ == "__main__":

@@ -27,7 +27,7 @@ from .experiment import (
     closed_form_o,
     count_rate,
 )
-from .qcore import Path, _require_member, _require_real
+from .qcore import Path, _require_grid, _require_member, _require_real
 
 __all__ = [
     "TruncationReport",
@@ -56,20 +56,16 @@ _POISSON_MEAN_MAX = _LONG_MAX - math.sqrt(_LONG_MAX) * 10
 def fit_loglog_slope(x_values, errors, floor: float = ERROR_FLOOR) -> float:
     """Least-squares slope of log(error) against log(x), ignoring floored points.
 
-    ``x_values`` must be finite and positive and ``errors`` finite and
-    non-negative, one per x value.  The slope is the closed-form ordinary
-    least-squares one on centred logs, sum(dx * dy) / sum(dx^2); when the
-    points kept above the floor all have the same x value it is undefined,
-    and a ValueError says so.
+    ``x_values`` (finite and positive) and ``errors`` (finite and >= 0, one per
+    x value) are one-dimensional arrays of real numbers.  The slope is the
+    closed-form ordinary least-squares one on centred logs, sum(dx * dy) /
+    sum(dx^2); when the points kept above the floor all have the same x
+    value it is undefined, and a ValueError says so.
     """
-    x = np.asarray(x_values, dtype=float)
-    err = np.asarray(errors, dtype=float)
-    if x.ndim != 1 or err.shape != x.shape:
+    x = _require_grid("x_values", x_values, "be positive")
+    err = _require_grid("errors", errors, "be >= 0")
+    if err.shape != x.shape:
         raise ValueError(f"need one error per x value, got shapes {x.shape} and {err.shape}")
-    if not (np.isfinite(x).all() and (x > 0.0).all()):
-        raise ValueError("x values must be finite and positive")
-    if not (np.isfinite(err).all() and (err >= 0.0).all()):
-        raise ValueError("errors must be finite and non-negative")
     floor = _require_real("floor", floor, "be >= 0")
     keep = err > floor
     if int(keep.sum()) < 2:
@@ -116,16 +112,15 @@ class TruncationReport:
 def truncation_scan(path: Path, alpha_grid) -> TruncationReport:
     """Scan the chi = 0 magnet scenario over ``alpha_grid`` for all three truncations.
 
-    The grid must contain at least 10 strictly positive angles.  The three
-    truncations are read out in one pass over the grid.  The fitted
-    exponents are log-log slopes of |I_truncated - I_exact| against alpha.
+    The grid is a one-dimensional array of at least 10 finite, strictly
+    positive real angles.  The three truncations are read out in one pass
+    over the grid.  The fitted exponents are log-log slopes of
+    |I_truncated - I_exact| against alpha.
     """
     _require_member("path", path, Path)
-    grid = np.asarray(alpha_grid, dtype=float)
-    if grid.ndim != 1 or grid.size < 10:
-        raise ValueError("alpha_grid must be one-dimensional with at least 10 points")
-    if not (np.isfinite(grid).all() and (grid > 0.0).all()):
-        raise ValueError("alpha_grid entries must be finite and strictly positive")
+    grid = _require_grid("alpha_grid", alpha_grid, "be positive")
+    if grid.size < 10:
+        raise ValueError(f"alpha_grid must have at least 10 points, got {grid.size}")
 
     i_exact, i_linear, i_quadratic = _o_selected_by_truncation(path, grid)
 

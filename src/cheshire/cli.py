@@ -11,6 +11,7 @@ output closes the pipe early (nothing is printed then).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import errno
 import functools
 import math
@@ -64,12 +65,13 @@ class CliError(Exception):
     """Usage or configuration error; mapped to exit code 1."""
 
 
-# Insertion -> the optional fields it uses, each marked required or not.
-# A field that no entry lists for the chosen insertion must stay unset.
+# Insertion -> the class it builds.  The class's fields are the optional
+# ScenarioConfig fields the insertion uses, required unless they have a
+# default; a field that the chosen insertion does not use must stay unset.
+_INSERTIONS = {"none": None, "absorber": Absorber, "magnet": Magnet}
 _INSERTION_FIELDS = {
-    "none": {},
-    "absorber": {"path": True, "transmissivity": True},
-    "magnet": {"path": True, "alpha_rad": True, "truncation": False},
+    name: {f.name: f.default is dataclasses.MISSING for f in dataclasses.fields(cls)} if cls else {}
+    for name, cls in _INSERTIONS.items()
 }
 
 
@@ -108,18 +110,9 @@ class ScenarioConfig:
         _require_real("scale_ref_cps", self.scale_ref_cps, "be positive")
 
     def to_scenario(self) -> Scenario:
-        if self.insertion == "absorber":
-            ins: Absorber | Magnet | None = Absorber(
-                path=self.path, transmissivity=self.transmissivity
-            )
-        elif self.insertion == "magnet":
-            ins = Magnet(
-                path=self.path,
-                alpha_rad=self.alpha_rad,
-                truncation=self.truncation or Truncation.EXACT,
-            )
-        else:
-            ins = None
+        cls = _INSERTIONS[self.insertion]
+        given = {f: getattr(self, f) for f in _INSERTION_FIELDS[self.insertion]}
+        ins = None if cls is None else cls(**{f: v for f, v in given.items() if v is not None})
         return Scenario(insertion=ins, chi_rad=self.chi_rad)
 
 
@@ -129,7 +122,7 @@ class ScenarioConfig:
 # each key is also a run/sweep flag (alpha_deg <-> --alpha-deg).  The order
 # is the order format_scenario_config writes.
 _KEYS = {
-    "insertion": ("insertion", {name: name for name in _INSERTION_FIELDS}),
+    "insertion": ("insertion", {name: name for name in _INSERTIONS}),
     "path": ("path", {path.name: path for path in Path}),
     "alpha_deg": ("alpha_rad", math.radians),
     "alpha_rad": ("alpha_rad", float),
@@ -432,18 +425,10 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
     header = ["alpha_rad", "i_exact_norm", "i_linear_norm", "i_quadratic_norm",
               "deficit_exact_norm", "deficit_linear_norm", "deficit_quadratic_norm"]
+    intensities = (report.i_exact, report.i_linear, report.i_quadratic)
     table_rows = []
     csv_lines = [",".join(header)]
-    for i, alpha in enumerate(report.alpha_grid):
-        cells = [
-            alpha,
-            report.i_exact[i],
-            report.i_linear[i],
-            report.i_quadratic[i],
-            I_REF_NORM - report.i_exact[i],
-            I_REF_NORM - report.i_linear[i],
-            I_REF_NORM - report.i_quadratic[i],
-        ]
+    for cells in zip(report.alpha_grid, *intensities, *(I_REF_NORM - i for i in intensities)):
         table_rows.append([f"{c:.6g}" for c in cells])
         csv_lines.append(",".join(_num(c) for c in cells))
 

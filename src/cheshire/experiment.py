@@ -48,7 +48,7 @@ from typing import Iterable, Union
 import numpy as np
 
 from .elements import Truncation
-from .qcore import JointState, Path, _require_member, _require_real
+from .qcore import JointState, Path, _require_grid, _require_member, _require_real
 
 __all__ = [
     "I_REF_NORM",
@@ -196,15 +196,6 @@ _RECOMBINE = np.array([[1.0], [-1.0]])
 _PORT_WEIGHTS = np.array([0.25, 0.5, 0.5])
 
 
-def _grid(name: str, values) -> np.ndarray:
-    grid = np.atleast_1d(np.asarray(values, dtype=float))
-    if grid.ndim != 1:
-        raise ValueError(f"{name} must be a scalar or one-dimensional, got shape {grid.shape}")
-    if not np.isfinite(grid).all():
-        raise ValueError(f"{name} entries must be finite")
-    return grid
-
-
 def _readout(chi: np.ndarray, path: Path | None, c, s, alpha: np.ndarray | None) -> np.ndarray:
     """The one array pass: ``(N, 3)`` readings, columns as :class:`Detector`.
 
@@ -307,10 +298,10 @@ def run_batch(template: Scenario, *, chi_rad=None, alpha_rad=None) -> np.ndarray
     magnet = isinstance(ins, Magnet)
     if alpha_rad is not None and not magnet:
         raise ValueError("an alpha grid requires a scenario with a magnet insertion")
-    chi = np.array([template.chi_rad]) if chi_rad is None else _grid("chi_rad", chi_rad)
+    chi = _require_grid("chi_rad", template.chi_rad if chi_rad is None else chi_rad)
     alpha = None
     if magnet:
-        alpha = np.array([ins.alpha_rad]) if alpha_rad is None else _grid("alpha_rad", alpha_rad)
+        alpha = _require_grid("alpha_rad", ins.alpha_rad if alpha_rad is None else alpha_rad)
         try:
             chi, alpha = np.broadcast_arrays(chi, alpha)
         except ValueError:
@@ -383,7 +374,7 @@ def sweep_chi(
 ) -> list[IntensityRecord]:
     """Run the template at each phase value; three records per grid point."""
     scale = _require_real("scale_ref_cps", scale_ref_cps, "be positive")
-    chi = np.fromiter(chi_values, dtype=float)
+    chi = _require_grid("chi_values", list(chi_values))
     readings = run_batch(template, chi_rad=chi)
     scenarios = [dataclasses.replace(template, chi_rad=value) for value in chi.tolist()]
     return _records(scenarios, readings, scale)
@@ -396,7 +387,7 @@ def sweep_alpha(
 ) -> list[IntensityRecord]:
     """Run the template at each rotation angle; requires a magnet insertion."""
     scale = _require_real("scale_ref_cps", scale_ref_cps, "be positive")
-    alpha = np.fromiter(alpha_values, dtype=float)
+    alpha = _require_grid("alpha_values", list(alpha_values))
     readings = run_batch(template, alpha_rad=alpha)
     scenarios = [
         dataclasses.replace(template, insertion=dataclasses.replace(template.insertion, alpha_rad=value))

@@ -90,8 +90,29 @@ def _require_real(name: str, value, rule: str = "be finite") -> float:
     raise ValueError(f"{name} must {rule}, got {value!r}")
 
 
-def _require_member(name: str, value, kind: type[Enum]):
-    """``value`` if a member of ``kind``, else a TypeError like "path must be a Path, got 'I'"."""
+def _require_grid(name: str, values, rule: str = "be finite") -> np.ndarray:
+    """``values`` as a 1-D float64 array (a scalar as length 1) if every entry meets ``rule``."""
+    try:
+        grid = np.asarray(values)
+    except ValueError:  # numpy refuses ragged nesting
+        raise ValueError(f"{name} must be a scalar or one-dimensional array, not ragged") from None
+    if grid.dtype.kind not in "biuf" or grid.ndim > 1:  # real: bool, int, unsigned or float
+        got = f"dtype {grid.dtype}" if grid.ndim < 2 else f"shape {grid.shape}"
+        raise ValueError(f"{name} must be a scalar or one-dimensional array of reals, got {got}")
+    if grid.ndim == 0 or grid.dtype.char != "d":
+        grid = grid.astype(float).reshape(-1)
+    low, high, excluded = _RULES[rule]
+    if grid.size:  # the least and the greatest entry decide, and a NaN is both
+        least, most = float(np.minimum.reduce(grid)), float(np.maximum.reduce(grid))
+        inside = low <= least <= most <= high and least != excluded != most
+        if not inside or (low < excluded < high and excluded in grid):
+            i = int(np.argmin((grid >= low) & (grid <= high) & (grid != excluded)))
+            raise ValueError(f"{name} entries must {rule}, got {float(grid[i])!r} at index {i}")
+    return grid
+
+
+def _require_member(name: str, value, kind: type):
+    """``value`` if it is a ``kind``, else a TypeError like "path must be a Path, got 'I'"."""
     if isinstance(value, kind):
         return value
     raise TypeError(f"{name} must be a {kind.__name__}, got {value!r}")

@@ -43,7 +43,6 @@ from .qcore import (
     Path,
     _require_member,
     _require_real,
-    inner,
     path_projector,
     tensor,
 )
@@ -93,10 +92,17 @@ def _checked_overlap(overlap: complex) -> complex:
     return overlap
 
 
+def _path_spin(name: str, state: JointState) -> np.ndarray:
+    """The amplitudes of ``state``, checked to be a JointState, as a (2, 2) array [path, spin]."""
+    return _require_member(name, state, JointState).amp.reshape(2, 2)
+
+
 def weak_value(op: JointOperator, psi_i: JointState, psi_f: JointState) -> complex:
     """<psi_f| op |psi_i> / <psi_f|psi_i>."""
-    overlap = _checked_overlap(inner(psi_f, psi_i))
-    return complex(np.vdot(psi_f.amp, op.matrix @ psi_i.amp)) / overlap
+    matrix = _require_member("op", op, JointOperator).matrix
+    pre = _require_member("psi_i", psi_i, JointState).amp
+    post = _require_member("psi_f", psi_f, JointState).amp
+    return complex(np.vdot(post, matrix @ pre)) / _checked_overlap(complex(np.vdot(post, pre)))
 
 
 @dataclass(frozen=True)
@@ -126,8 +132,8 @@ def exact_weak_values(
     With w[path, spin] = conj(psi_f) * psi_i, each is a row sum (Pi_j) or
     row difference (sigma_z Pi_j) of w, over the overlap w.sum().
     """
-    pre = _PREPARED if psi_i is None else psi_i.amp.reshape(2, 2)
-    post = _POSTSELECTED if psi_f is None else psi_f.amp.reshape(2, 2)
+    pre = _PREPARED if psi_i is None else _path_spin("psi_i", psi_i)
+    post = _POSTSELECTED if psi_f is None else _path_spin("psi_f", psi_f)
     w = (post.conj() * pre).tolist()
     overlap = _checked_overlap(sum(w[0]) + sum(w[1]))
     return WeakValueSet(
@@ -148,6 +154,7 @@ def weakvalue_intensity(
     """
     alpha = _require_real("alpha_rad", alpha_rad)
     i_ref_norm = _require_real("i_ref_norm", i_ref_norm, "be positive")
+    _require_member("weak_values", weak_values, WeakValueSet)
     if _require_member("path", path, Path) is Path.I:
         pi_w, sigma_pi_w = weak_values.pi_i, weak_values.sigma_pi_i
     else:
@@ -163,7 +170,7 @@ def projective_spin_expectation(path: Path, psi: JointState | None = None) -> fl
     answer is 0 for either path, independent of any downstream settings.
     """
     _require_member("path", path, Path)
-    spin = (_PREPARED if psi is None else psi.amp.reshape(2, 2))[path.value]
+    spin = (_PREPARED if psi is None else _path_spin("psi", psi))[path.value]
     weight = float(np.vdot(spin, spin).real)
     if weight == 0.0:
         raise ValueError(f"state has no amplitude on {path}; expectation undefined")

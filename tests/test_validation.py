@@ -5,13 +5,19 @@ rejects anything else, ``None`` and text included, with a ValueError whose
 message starts with the parameter's name.  Every path parameter rejects
 anything that is not a :class:`Path` with a TypeError, every truncation
 parameter anything that is not a :class:`Truncation`, and the spin parameter
-anything that is not a :class:`Spin`.
+anything that is not a :class:`Spin`.  State, operator and weak-value
+parameters reject anything that is not their class with a TypeError too.
+Every grid parameter takes a scalar or a one-dimensional array of real
+numbers whose entries meet its rule, and rejects anything else with a
+ValueError whose message starts with the parameter's name.
 """
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cheshire.analysis import (
     cheshire_witness,
@@ -33,18 +39,33 @@ from cheshire.experiment import (
     Magnet,
     Scenario,
     initial_state,
+    postselection_state,
     run,
+    run_batch,
     sweep_alpha,
     sweep_chi,
 )
-from cheshire.qcore import Path, Spin, basis_index, path_projector, spin_on_path
+from cheshire.qcore import (
+    _RULES,
+    JointOperator,
+    JointState,
+    Path,
+    Spin,
+    _require_grid,
+    _require_real,
+    basis_index,
+    path_projector,
+    spin_on_path,
+)
 from cheshire.weak import (
+    WeakValueSet,
     estimate_pi_from_absorber,
     estimate_sigma_pi,
     exact_weak_values,
     path_projector_operator,
     projective_spin_expectation,
     spin_z_path_operator,
+    weak_value,
     weakvalue_intensity,
 )
 
@@ -111,6 +132,22 @@ PATHS = [
     ("JointState.path_amplitudes", lambda p: initial_state().path_amplitudes(p)),
 ]
 
+# (function, parameter, its class, a call passing ``v`` as that parameter)
+OBJECTS = [
+    ("weak_value", "op", JointOperator,
+     lambda v: weak_value(v, initial_state(), postselection_state())),
+    ("weak_value", "psi_i", JointState,
+     lambda v: weak_value(path_projector_operator(Path.I), v, postselection_state())),
+    ("weak_value", "psi_f", JointState,
+     lambda v: weak_value(path_projector_operator(Path.I), initial_state(), v)),
+    ("exact_weak_values", "psi_i", JointState, lambda v: exact_weak_values(v)),
+    ("exact_weak_values", "psi_f", JointState, lambda v: exact_weak_values(psi_f=v)),
+    ("projective_spin_expectation", "psi", JointState,
+     lambda v: projective_spin_expectation(Path.I, v)),
+    ("weakvalue_intensity", "weak_values", WeakValueSet,
+     lambda v: weakvalue_intensity(0.1, Path.I, v, 0.25)),
+]
+
 TRUNCATIONS = [
     ("spin_rotation_matrix", lambda t: spin_rotation_matrix(0.1, t)),
     ("magnetic_rotation", lambda t: magnetic_rotation(Path.I, 0.1, t)),
@@ -144,3 +181,105 @@ def test_spin_parameter_rejects_what_is_not_a_spin():
 def test_truncation_parameter_rejects_what_is_not_a_truncation(call):
     with pytest.raises(TypeError, match=r"^truncation must be a Truncation, got 'exact'$"):
         call(Truncation.EXACT.value)
+
+
+@pytest.mark.parametrize(
+    "parameter, kind, call", [o[1:] for o in OBJECTS], ids=[f"{f}.{p}" for f, p, _, _ in OBJECTS]
+)
+def test_object_parameter_rejects_what_is_not_its_class(parameter, kind, call):
+    # the amplitudes or matrix of the right object, as a bare array, or the
+    # weak values as a bare tuple: the right content without the class
+    bad = {
+        JointOperator: path_projector_operator(Path.I).matrix,
+        JointState: initial_state().amp,
+        WeakValueSet: (0j, 1 + 0j, 1 + 0j, 0j),
+    }[kind]
+    with pytest.raises(TypeError) as info:
+        call(bad)
+    assert str(info.value).startswith(f"{parameter} must be a {kind.__name__}, got "), str(info.value)
+
+
+# (function, parameter, a call passing ``v`` as that grid and valid values elsewhere)
+GRIDS = [
+    ("run_batch", "chi_rad", lambda v: run_batch(Scenario(), chi_rad=v)),
+    ("run_batch", "alpha_rad", lambda v: run_batch(MAGNET_II, alpha_rad=v)),
+    ("sweep_chi", "chi_values", lambda v: sweep_chi(Scenario(), v)),
+    ("sweep_alpha", "alpha_values", lambda v: sweep_alpha(MAGNET_II, v)),
+    ("truncation_scan", "alpha_grid", lambda v: truncation_scan(Path.II, v)),
+    ("fit_loglog_slope", "x_values", lambda v: fit_loglog_slope(v, [1.0])),
+    ("fit_loglog_slope", "errors", lambda v: fit_loglog_slope([1.0], v)),
+]
+
+# Not a scalar or one-dimensional array of finite real numbers: text is
+# rejected even when it spells one, complex even when its imaginary part is 0.
+NOT_REAL_GRIDS = [
+    [math.nan],
+    [math.inf],
+    ["0.5"],
+    "0.5",
+    [1j],
+    np.array([1 + 0j]),
+    [[0.1], [0.2, 0.3]],
+    np.zeros((2, 2)),
+]
+
+
+@pytest.mark.parametrize("bad", NOT_REAL_GRIDS, ids=repr)
+@pytest.mark.parametrize(
+    "parameter, call", [g[1:] for g in GRIDS], ids=[f"{f}.{p}" for f, p, _ in GRIDS]
+)
+def test_grid_parameter_rejects_what_is_not_a_real_grid(parameter, call, bad):
+    with pytest.raises(ValueError) as info:
+        call(bad)
+    # the message of the grid rule, not of a later check such as a length
+    forms = (f"{parameter} entries must ", f"{parameter} must be a scalar or one-dimensional array")
+    assert str(info.value).startswith(forms), str(info.value)
+
+
+def test_grid_error_names_the_first_bad_entry():
+    with pytest.raises(ValueError, match=r"^chi_rad entries must be finite, got nan at index 1$"):
+        run_batch(Scenario(), chi_rad=[0.0, math.nan, math.inf])
+
+
+def test_sweep_takes_a_generator():
+    assert sweep_chi(Scenario(), (chi for chi in [0.0, 1.0])) == sweep_chi(Scenario(), [0.0, 1.0])
+
+
+def test_sweep_takes_an_empty_list():
+    assert sweep_chi(Scenario(), []) == []
+
+
+GRID_ENTRIES = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+    st.integers(-3, 3),
+)
+
+
+@given(entries=st.lists(GRID_ENTRIES, max_size=6), rule=st.sampled_from(sorted(_RULES)))
+def test_grid_rule_is_the_scalar_rule_entry_by_entry(entries, rule):
+    def meets(value):
+        try:
+            _require_real("x", value, rule)
+        except ValueError:
+            return False
+        return True
+
+    try:
+        grid = _require_grid("x", entries, rule)
+    except ValueError as exc:
+        assert not all(map(meets, entries)), str(exc)
+        assert str(exc).startswith(f"x entries must {rule}, got ")
+    else:
+        assert all(map(meets, entries))
+        # the same float64 bits as the plain conversion
+        assert grid.dtype == np.float64 and grid.shape == (len(entries),)
+        assert grid.tobytes() == np.asarray(entries, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize(
+    "values", [0.5, 3, True, np.float32(0.1), [1, 2.5], [True, False], np.arange(3, dtype=np.int8)]
+)
+def test_grid_reads_real_scalars_and_arrays_as_float64(values):
+    expected = np.atleast_1d(np.asarray(values, dtype=float))
+    assert _require_grid("x", values).tobytes() == expected.tobytes()
