@@ -24,6 +24,7 @@ from .experiment import (
     Scenario,
     _factor,
     _readout,
+    _readout_one,
     closed_form_o,
     count_rate,
 )
@@ -67,10 +68,15 @@ def fit_loglog_slope(x_values, errors, floor: float = ERROR_FLOOR) -> float:
     if err.shape != x.shape:
         raise ValueError(f"need one error per x value, got shapes {x.shape} and {err.shape}")
     floor = _require_real("floor", floor, "be >= 0")
+    return _slope(np.log(x), err, floor)
+
+
+def _slope(log_x: np.ndarray, err: np.ndarray, floor: float) -> float:
+    """:func:`fit_loglog_slope` on checked inputs, given log(x) rather than x."""
     keep = err > floor
     if int(keep.sum()) < 2:
         raise ValueError("fewer than two points above the numerical error floor; cannot fit")
-    log_x = np.log(x[keep])
+    log_x = log_x[keep]
     # Tested on the logs themselves: the mean of equal values can round off them.
     if (log_x == log_x[0]).all():
         raise ValueError("the points above the numerical error floor share one x value; cannot fit")
@@ -123,6 +129,7 @@ def truncation_scan(path: Path, alpha_grid) -> TruncationReport:
         raise ValueError(f"alpha_grid must have at least 10 points, got {grid.size}")
 
     i_exact, i_linear, i_quadratic = _o_selected_by_truncation(path, grid)
+    log_alpha = np.log(grid)
 
     return TruncationReport(
         path=path,
@@ -130,8 +137,8 @@ def truncation_scan(path: Path, alpha_grid) -> TruncationReport:
         i_exact=i_exact,
         i_linear=i_linear,
         i_quadratic=i_quadratic,
-        error_exponent_linear=fit_loglog_slope(grid, np.abs(i_linear - i_exact)),
-        error_exponent_quadratic=fit_loglog_slope(grid, np.abs(i_quadratic - i_exact)),
+        error_exponent_linear=_slope(log_alpha, np.abs(i_linear - i_exact), ERROR_FLOOR),
+        error_exponent_quadratic=_slope(log_alpha, np.abs(i_quadratic - i_exact), ERROR_FLOOR),
     )
 
 
@@ -151,12 +158,16 @@ def cheshire_witness(alpha_rad: float) -> CheshireDeficits:
     The linear deficit is identically zero, and exactly 0.0 in floating
     point: the readout scales by powers of two only.  The quadratic and
     exact deficits both equal I_ref * alpha^2/4 to leading order, so their
-    ratio tends to one as alpha tends to zero.  The three truncations are
-    read out in one pass, as in :func:`truncation_scan`.
+    ratio tends to one as alpha tends to zero.  Each truncation is one
+    scenario read out in Python scalars, as :func:`~cheshire.experiment.run`
+    reads it; the bits are those of the last point of a
+    :func:`truncation_scan` whose grid ends at ``alpha_rad``.
     """
     alpha = _require_real("alpha_rad", alpha_rad, "be positive")
-    deficits = I_REF_NORM - _o_selected_by_truncation(Path.II, np.array([alpha]))
-    exact, linear, quadratic = deficits[:, 0].tolist()
+    exact, linear, quadratic = (
+        I_REF_NORM - _readout_one(Scenario(Magnet(Path.II, alpha, truncation)))[0]
+        for truncation in Truncation
+    )
     return CheshireDeficits(
         alpha_rad=alpha,
         deficit_linear=linear,

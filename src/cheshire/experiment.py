@@ -23,17 +23,19 @@ phase is a per-path scalar, and the recombiner plus spin filter one fixed
 contraction whose 1/sqrt(2) factors are folded into exact powers of two.
 One map, ``_factor``, gives every insertion as ``(path, c, s)``: an
 absorber is (sqrt(T), 0), a magnet its truncation's (c, s) of
-``_ROTATION``.  The sweeps are one call each; the truncation scan and
-witness of :mod:`cheshire.analysis` stack their three rotations' (c, s)
-into one pass of the same kernel.  :func:`run`, always one point, reads
-its scenario out in Python scalars instead, with the same bits as the
-kernel's row: a real factor is a Python product, the one general complex
-product (an amplitude times a rotation's ``c ± i s``) goes through
-``np.multiply``, whose loop may fuse a multiply-add, and each port sums
-its squares in numpy's order.  The canonical weak values read
-the same ``(path, spin)`` constants.  The 4x4 joint algebra of
-:mod:`cheshire.qcore` and :mod:`cheshire.elements` is not on either path;
-it serves :func:`cheshire.weak.weak_value` for arbitrary operators and is the
+``_ROTATION``.  The sweeps are one call each; the truncation scan of
+:mod:`cheshire.analysis` stacks its three rotations' (c, s) into one pass
+of the same kernel.  :func:`run`, always one point, reads its scenario
+out in Python scalars instead, with the same bits as the kernel's row: a
+real factor is a Python product, the one general complex product (an
+amplitude times a rotation's ``c ± i s``) goes through ``np.multiply``,
+whose loop may fuse a multiply-add, and each port sums its squares in
+numpy's order.  The witness of :mod:`cheshire.analysis`, one angle, reads
+its three truncations through that scalar route.  The canonical weak
+values are contracted once from the same ``(path, spin)`` constants.
+The 4x4 joint algebra of :mod:`cheshire.qcore` and
+:mod:`cheshire.elements` is not on either route; it serves
+:func:`cheshire.weak.weak_value` for arbitrary operators and is the
 independent reference the tests check both against.
 """
 

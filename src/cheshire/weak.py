@@ -13,8 +13,10 @@ representation-dependent sign (it flips if the transverse spin states are
 defined with the opposite relative phase); only its magnitude is physically
 fixed by the intensity data, and callers that compare against measured
 rates should use ``abs()``.  :func:`exact_weak_values` reads the four off
-``(path, spin)`` arrays; the 4x4 joint operators serve :func:`weak_value`
-for arbitrary operators and are the tests' independent reference.
+``(path, spin)`` arrays; the standard pair's set is contracted once, at
+import, and shared, since it is a frozen set of complex numbers.  The 4x4
+joint operators serve :func:`weak_value` for arbitrary operators and are
+the tests' independent reference.
 
 To second order in the rotation angle the O_SELECTED intensity behind a
 magnet on path j is
@@ -124,16 +126,8 @@ class WeakValueSet:
             raise ValueError(f"path projector weak values must sum to 1, got {total}")
 
 
-def exact_weak_values(
-    psi_i: JointState | None = None, psi_f: JointState | None = None
-) -> WeakValueSet:
-    """Weak values of the four canonical operators, default standard states.
-
-    With w[path, spin] = conj(psi_f) * psi_i, each is a row sum (Pi_j) or
-    row difference (sigma_z Pi_j) of w, over the overlap w.sum().
-    """
-    pre = _PREPARED if psi_i is None else _path_spin("psi_i", psi_i)
-    post = _POSTSELECTED if psi_f is None else _path_spin("psi_f", psi_f)
+def _contract(pre: np.ndarray, post: np.ndarray) -> WeakValueSet:
+    """The four canonical weak values between two (2, 2) [path, spin] amplitude arrays."""
     w = (post.conj() * pre).tolist()
     overlap = _checked_overlap(sum(w[0]) + sum(w[1]))
     return WeakValueSet(
@@ -142,6 +136,25 @@ def exact_weak_values(
         sigma_pi_i=(w[0][0] - w[0][1]) / overlap,
         sigma_pi_ii=(w[1][0] - w[1][1]) / overlap,
     )
+
+
+_CANONICAL = _contract(_PREPARED, _POSTSELECTED)
+
+
+def exact_weak_values(
+    psi_i: JointState | None = None, psi_f: JointState | None = None
+) -> WeakValueSet:
+    """Weak values of the four canonical operators, default standard states.
+
+    With w[path, spin] = conj(psi_f) * psi_i, each is a row sum (Pi_j) or
+    row difference (sigma_z Pi_j) of w, over the overlap w.sum().  The
+    standard pair's set is contracted once, at import, and returned as is.
+    """
+    if psi_i is None and psi_f is None:
+        return _CANONICAL
+    pre = _PREPARED if psi_i is None else _path_spin("psi_i", psi_i)
+    post = _POSTSELECTED if psi_f is None else _path_spin("psi_f", psi_f)
+    return _contract(pre, post)
 
 
 def weakvalue_intensity(
@@ -160,7 +173,13 @@ def weakvalue_intensity(
     else:
         pi_w, sigma_pi_w = weak_values.pi_ii, weak_values.sigma_pi_ii
     quarter = alpha * alpha / 4.0
-    return float(i_ref_norm * (1.0 - quarter * pi_w.real + quarter * abs(sigma_pi_w) ** 2))
+    value = float(i_ref_norm * (1.0 - quarter * pi_w.real + quarter * abs(sigma_pi_w) ** 2))
+    if not math.isfinite(value):
+        raise ValueError(
+            f"alpha_rad {alpha_rad!r} gives a prediction that is not finite ({value!r}) "
+            f"at i_ref_norm {i_ref_norm!r}"
+        )
+    return value
 
 
 def projective_spin_expectation(path: Path, psi: JointState | None = None) -> float:

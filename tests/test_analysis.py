@@ -160,6 +160,37 @@ class TestOnePassScan:
         assert str(one_pass.value) == str(per_truncation.value)
         assert "alpha_rad=1e+200" in str(one_pass.value)
 
+    # the witness reads its angle in Python scalars, the scan in one array
+    # pass: the two routes must give the same bits at the scan's last point
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(1e-3, 3.0), st.integers(10, 30))
+    def test_witness_is_the_last_point_of_a_scan_bit_for_bit(self, alpha, size):
+        # the leading angles keep both fits above the error floor
+        grid = np.append(np.geomspace(0.05, 3.0, size - 1), alpha)
+        report = truncation_scan(Path.II, grid)
+        witness = cheshire_witness(alpha)
+        got = [witness.deficit_exact, witness.deficit_linear, witness.deficit_quadratic]
+        want = [0.25 - i[-1] for i in (report.i_exact, report.i_linear, report.i_quadratic)]
+        assert np.array_equal(bits(got), bits(want))
+
+    # the scan fits both exponents on one log of its grid; each must be the
+    # public fit's, bit for bit
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.sampled_from(list(Path)),
+        st.lists(st.floats(1e-3, 3.0), min_size=10, max_size=40, unique=True),
+    )
+    def test_scan_exponents_are_the_public_fit_bit_for_bit(self, path, alphas):
+        grid = np.array(alphas)
+        assume(np.sort(grid)[-2] > 0.05)
+        report = truncation_scan(path, grid)
+        got = [report.error_exponent_linear, report.error_exponent_quadratic]
+        want = [
+            fit_loglog_slope(grid, np.abs(report.i_linear - report.i_exact)),
+            fit_loglog_slope(grid, np.abs(report.i_quadratic - report.i_exact)),
+        ]
+        assert np.array_equal(bits(got), bits(want))
+
     def test_witness_overflow_names_the_same_angle_on_both_routes(self):
         with pytest.raises(ValueError) as per_truncation:
             per_truncation_readings(Path.II, 1e200)

@@ -221,6 +221,11 @@ NOT_REAL_GRIDS = [
     np.array([1 + 0j]),
     [[0.1], [0.2, 0.3]],
     np.zeros((2, 2)),
+    # object arrays of anything but Python ints and floats
+    [None, 1.0],
+    [1j, 10**30],
+    ["0.5", 10**30],
+    [[10**30, 1], [2, 3]],
 ]
 
 
@@ -253,6 +258,8 @@ GRID_ENTRIES = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True),
     st.sampled_from([0.0, -0.0, 1.0, -1.0]),
     st.integers(-3, 3),
+    # past uint64, numpy makes an object array; past a float, the rule fails
+    st.sampled_from([10**30, -(10**30), 10**400, -(10**400)]),
 )
 
 
@@ -283,3 +290,15 @@ def test_grid_rule_is_the_scalar_rule_entry_by_entry(entries, rule):
 def test_grid_reads_real_scalars_and_arrays_as_float64(values):
     expected = np.atleast_1d(np.asarray(values, dtype=float))
     assert _require_grid("x", values).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("values", [[10**30], [0.5, 10**30], 10**30, [True, -(10**30), 2.5]])
+def test_grid_reads_python_ints_past_uint64_as_a_scalar_does(values):
+    grid = run_batch(Scenario(), chi_rad=values)
+    expected = [run_batch(Scenario(chi_rad=value)) for value in np.atleast_1d(values).tolist()]
+    assert grid.tobytes() == np.concatenate(expected).tobytes()
+
+
+def test_grid_int_too_large_for_a_float_names_the_parameter():
+    with pytest.raises(ValueError, match=r"^chi_rad entries must be finite, got -1000+ at index 1$"):
+        run_batch(Scenario(), chi_rad=[0.5, -(10**400)])

@@ -80,6 +80,22 @@ class TestWeakValues:
         with pytest.raises(DegeneratePostselectionError):
             weak_value(identity(), psi_i, psi_f)
 
+    @pytest.mark.parametrize(
+        "states",
+        [
+            {"psi_i": initial_state()},
+            {"psi_f": postselection_state()},
+            {"psi_i": initial_state(), "psi_f": postselection_state()},
+        ],
+        ids=["psi_i", "psi_f", "both"],
+    )
+    def test_given_standard_states_contract_to_the_canonical_set(self, states):
+        # a given state is contracted on the call, not served from the
+        # set computed at import, and lands on the same values
+        values = exact_weak_values(**states)
+        assert values is not exact_weak_values()
+        assert values == exact_weak_values()
+
     def test_weak_value_set_guards_sum_rule(self):
         with pytest.raises(ValueError):
             WeakValueSet(pi_i=0.5, pi_ii=0.2, sigma_pi_i=1.0, sigma_pi_ii=0.0)
@@ -134,6 +150,16 @@ class TestWeakValueIntensity:
     def test_rejects_bad_reference(self):
         with pytest.raises(ValueError):
             weakvalue_intensity(0.1, Path.I, exact_weak_values(), 0.0)
+
+    @pytest.mark.parametrize("path", list(Path))
+    def test_rejects_an_angle_whose_prediction_is_not_finite(self, path):
+        # alpha^2/4 overflows, and inf * 0 is a NaN on either path
+        with pytest.raises(ValueError, match=r"^alpha_rad 1e\+200 gives a prediction that is not finite"):
+            weakvalue_intensity(1e200, path, exact_weak_values(), 0.25)
+
+    @pytest.mark.parametrize("path, expected", [(Path.I, 6.25e306), (Path.II, -6.25e306)])
+    def test_large_finite_prediction_is_returned(self, path, expected):
+        assert weakvalue_intensity(1e154, path, exact_weak_values(), 0.25) == expected
 
 
 class TestEstimateSigmaPi:
