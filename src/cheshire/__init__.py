@@ -7,10 +7,11 @@ post-selected detection.  Detector intensities come from one numpy pass
 over an ``(N, path, spin)`` amplitude array (``experiment.run_batch``);
 the canonical weak values come from the same ``(path, spin)`` arrays, and
 intensity-based estimators pull them back out.  The exact 4-dimensional
-matrix algebra of ``qcore`` and ``elements`` serves ``weak_value`` for
-arbitrary operators and is the independent reference for both.  An
-analyzer pins down which Taylor order of the rotation operator a given
-intensity effect lives at.
+matrix algebra of ``qcore`` and ``elements`` serves ``weak.weak_value`` for
+arbitrary operators and states and is the independent reference for both;
+it is imported from those modules, not from the package.  An analyzer pins
+down which Taylor order of the rotation operator a given intensity effect
+lives at.
 """
 
 from .analysis import (
@@ -25,15 +26,7 @@ from .analysis import (
     reproduce_benchmark_table,
     truncation_scan,
 )
-from .elements import (
-    Truncation,
-    absorber,
-    magnetic_rotation,
-    phase_shifter,
-    recombine,
-    spin_rotation_matrix,
-    spin_select_minus,
-)
+from .elements import Truncation
 from .experiment import (
     DEFAULT_SCALE_REF_CPS,
     I_REF_NORM,
@@ -43,28 +36,12 @@ from .experiment import (
     Magnet,
     Scenario,
     closed_form_o,
-    initial_state,
-    postselection_state,
     run,
     run_batch,
     sweep_alpha,
     sweep_chi,
 )
-from .qcore import (
-    JointOperator,
-    JointState,
-    Path,
-    Spin,
-    apply,
-    compose,
-    dagger,
-    identity,
-    inner,
-    is_unitary,
-    norm2,
-    spin_on_path,
-    tensor,
-)
+from .qcore import Path
 from .weak import (
     DegeneratePostselectionError,
     WeakValueEstimate,
@@ -72,10 +49,7 @@ from .weak import (
     estimate_pi_from_absorber,
     estimate_sigma_pi,
     exact_weak_values,
-    path_projector_operator,
     projective_spin_expectation,
-    spin_z_path_operator,
-    weak_value,
     weakvalue_intensity,
 )
 

@@ -133,8 +133,6 @@ _KEYS = {
     "scale_ref_cps": ("scale_ref_cps", float),
 }
 
-CONFIG_KEYS = tuple(_KEYS)
-
 
 def _flag(key: str) -> str:
     return "--" + key.replace("_", "-")

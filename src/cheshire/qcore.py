@@ -96,12 +96,17 @@ def _require_grid(name: str, values, rule: str = "be finite") -> np.ndarray:
         grid = np.asarray(values)
     except ValueError:  # numpy refuses ragged nesting
         raise ValueError(f"{name} must be a scalar or one-dimensional array, not ragged") from None
+    if grid.dtype.kind == "O" and grid.ndim < 2:  # an int past uint64 makes one: read as scalars
+        reals = []
+        for i, value in enumerate(grid.reshape(-1).tolist()):
+            try:
+                reals.append(_require_real(name, value, rule))
+            except ValueError:
+                raise ValueError(f"{name} entries must {rule}, got {value!r} at index {i}") from None
+        return np.array(reals)
     if grid.dtype.kind not in "biuf" or grid.ndim > 1:  # real: bool, int, unsigned or float
-        reals = _python_reals(name, grid, rule)
-        if reals is None:
-            got = f"dtype {grid.dtype}" if grid.ndim < 2 else f"shape {grid.shape}"
-            raise ValueError(f"{name} must be a scalar or one-dimensional array of reals, got {got}")
-        grid = reals
+        got = f"dtype {grid.dtype}" if grid.ndim < 2 else f"shape {grid.shape}"
+        raise ValueError(f"{name} must be a scalar or one-dimensional array of reals, got {got}")
     if grid.ndim == 0 or grid.dtype.char != "d":
         grid = grid.astype(float).reshape(-1)
     low, high, excluded = _RULES[rule]
@@ -112,26 +117,6 @@ def _require_grid(name: str, values, rule: str = "be finite") -> np.ndarray:
             i = int(np.argmin((grid >= low) & (grid <= high) & (grid != excluded)))
             raise ValueError(f"{name} entries must {rule}, got {float(grid[i])!r} at index {i}")
     return grid
-
-
-def _python_reals(name: str, grid: np.ndarray, rule: str) -> np.ndarray | None:
-    """An object ``grid`` of Python ints and floats (an int past uint64 makes one) as float64.
-
-    None when ``grid`` is anything else.  An int too large for a float
-    breaks ``rule`` and raises, as :func:`_require_real` does.
-    """
-    if grid.dtype.kind != "O" or grid.ndim > 1:
-        return None
-    entries = grid.reshape(-1).tolist()
-    if not all(isinstance(value, (int, float)) for value in entries):
-        return None
-    reals = []
-    for i, value in enumerate(entries):
-        try:
-            reals.append(float(value))
-        except OverflowError:
-            raise ValueError(f"{name} entries must {rule}, got {value!r} at index {i}") from None
-    return np.array(reals)
 
 
 def _require_member(name: str, value, kind: type):

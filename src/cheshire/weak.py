@@ -12,11 +12,11 @@ the standard states they come out 0, 1, +1 and 0.  The +1 carries a
 representation-dependent sign (it flips if the transverse spin states are
 defined with the opposite relative phase); only its magnitude is physically
 fixed by the intensity data, and callers that compare against measured
-rates should use ``abs()``.  :func:`exact_weak_values` reads the four off
-``(path, spin)`` arrays; the standard pair's set is contracted once, at
-import, and shared, since it is a frozen set of complex numbers.  The 4x4
-joint operators serve :func:`weak_value` for arbitrary operators and are
-the tests' independent reference.
+rates should use ``abs()``.  :func:`exact_weak_values` returns the four for
+the standard pair, contracted once, at import, from its ``(path, spin)``
+arrays.  Weak values for any other operator or pair of states go through
+:func:`weak_value` and the 4x4 joint operators, which are also the tests'
+independent reference.
 
 To second order in the rotation angle the O_SELECTED intensity behind a
 magnet on path j is
@@ -31,8 +31,9 @@ error is itself an object of study in :mod:`cheshire.analysis`.
 
 from __future__ import annotations
 
+import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -94,11 +95,6 @@ def _checked_overlap(overlap: complex) -> complex:
     return overlap
 
 
-def _path_spin(name: str, state: JointState) -> np.ndarray:
-    """The amplitudes of ``state``, checked to be a JointState, as a (2, 2) array [path, spin]."""
-    return _require_member(name, state, JointState).amp.reshape(2, 2)
-
-
 def weak_value(op: JointOperator, psi_i: JointState, psi_f: JointState) -> complex:
     """<psi_f| op |psi_i> / <psi_f|psi_i>."""
     matrix = _require_member("op", op, JointOperator).matrix
@@ -112,7 +108,7 @@ class WeakValueSet:
     """The four canonical weak values for one pre/post-selection pair.
 
     The path projectors resolve the identity, so ``pi_i + pi_ii`` must equal
-    one; the constructor enforces that as a consistency guard.
+    one; the constructor enforces that, and finite parts, as a consistency guard.
     """
 
     pi_i: complex
@@ -121,6 +117,14 @@ class WeakValueSet:
     sigma_pi_ii: complex
 
     def __post_init__(self) -> None:
+        for field in fields(self):
+            value = getattr(self, field.name)
+            try:
+                finite = cmath.isfinite(value)
+            except (TypeError, OverflowError):  # not a number, or an int past a float
+                finite = False
+            if not finite:
+                raise ValueError(f"{field.name} must be finite, got {value!r}")
         total = self.pi_i + self.pi_ii
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"path projector weak values must sum to 1, got {total}")
@@ -141,20 +145,14 @@ def _contract(pre: np.ndarray, post: np.ndarray) -> WeakValueSet:
 _CANONICAL = _contract(_PREPARED, _POSTSELECTED)
 
 
-def exact_weak_values(
-    psi_i: JointState | None = None, psi_f: JointState | None = None
-) -> WeakValueSet:
-    """Weak values of the four canonical operators, default standard states.
+def exact_weak_values() -> WeakValueSet:
+    """Weak values of the four canonical operators for the standard states.
 
     With w[path, spin] = conj(psi_f) * psi_i, each is a row sum (Pi_j) or
-    row difference (sigma_z Pi_j) of w, over the overlap w.sum().  The
-    standard pair's set is contracted once, at import, and returned as is.
+    row difference (sigma_z Pi_j) of w, over the overlap w.sum().  The set
+    is contracted once, at import, and returned as is.
     """
-    if psi_i is None and psi_f is None:
-        return _CANONICAL
-    pre = _PREPARED if psi_i is None else _path_spin("psi_i", psi_i)
-    post = _POSTSELECTED if psi_f is None else _path_spin("psi_f", psi_f)
-    return _contract(pre, post)
+    return _CANONICAL
 
 
 def weakvalue_intensity(
@@ -182,18 +180,14 @@ def weakvalue_intensity(
     return value
 
 
-def projective_spin_expectation(path: Path, psi: JointState | None = None) -> float:
+def projective_spin_expectation(path: Path) -> float:
     """Ordinary (projective) <sigma_z> of the spin component on one path.
 
     Both paths of the standard input state carry transverse spin, so the
     answer is 0 for either path, independent of any downstream settings.
     """
-    _require_member("path", path, Path)
-    spin = (_PREPARED if psi is None else _path_spin("psi", psi))[path.value]
-    weight = float(np.vdot(spin, spin).real)
-    if weight == 0.0:
-        raise ValueError(f"state has no amplitude on {path}; expectation undefined")
-    return float(np.vdot(spin, SIGMA_Z @ spin).real / weight)
+    spin = _PREPARED[_require_member("path", path, Path).value]
+    return float(np.vdot(spin, SIGMA_Z @ spin).real / np.vdot(spin, spin).real)
 
 
 @dataclass(frozen=True)

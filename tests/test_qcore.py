@@ -1,10 +1,13 @@
+import importlib
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from cheshire import qcore
+import cheshire
+from cheshire import elements, qcore
 from cheshire.qcore import (
     ID2,
     SIGMA_Z,
@@ -175,3 +178,25 @@ def test_inner_conjugate_symmetry(vals):
 def test_z_rotation_tensor_is_unitary(angle):
     rot = np.cos(angle) * ID2 + 1j * np.sin(angle) * SIGMA_Z
     assert is_unitary(tensor(rot, ID2), tol=1e-12)
+
+
+# The 4x4 reference layer and the helpers built on it, by home module: each
+# is imported from there, and none from the package.
+REFERENCE_LAYER = {
+    "qcore": ["JointOperator", "JointState", "Spin", "apply", "compose", "dagger", "identity",
+              "inner", "is_unitary", "norm2", "spin_on_path", "tensor"],
+    "elements": ["absorber", "magnetic_rotation", "phase_shifter", "recombine",
+                 "spin_rotation_matrix", "spin_select_minus"],
+    "experiment": ["initial_state", "postselection_state"],
+    "weak": ["weak_value", "path_projector_operator", "spin_z_path_operator"],
+}
+
+
+def test_reference_layer_lives_on_its_module_not_the_package():
+    for module, names in REFERENCE_LAYER.items():
+        home = importlib.import_module(f"cheshire.{module}")
+        for name in names:
+            assert not hasattr(cheshire, name), name
+            assert hasattr(home, name), f"cheshire.{module}.{name}"
+    # the two labels every caller needs stay on the package
+    assert cheshire.Path is qcore.Path and cheshire.Truncation is elements.Truncation

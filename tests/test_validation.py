@@ -13,6 +13,7 @@ ValueError whose message starts with the parameter's name.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -111,6 +112,11 @@ SCALARS = [
     ("magnetic_rotation", "alpha_rad", lambda v: magnetic_rotation(Path.I, v)),
     ("phase_shifter", "chi_rad", phase_shifter),
     ("absorber", "transmissivity", lambda v: absorber(Path.I, v)),
+    # a weak-value part is complex: finite is its whole rule, checked before the sum rule
+    ("WeakValueSet", "pi_i", lambda v: WeakValueSet(v, v, 0j, 0j)),
+    ("WeakValueSet", "pi_ii", lambda v: WeakValueSet(0j, v, 1 + 0j, 0j)),
+    ("WeakValueSet", "sigma_pi_i", lambda v: WeakValueSet(0, 1, v, 0)),
+    ("WeakValueSet", "sigma_pi_ii", lambda v: WeakValueSet(0j, 1 + 0j, 1 + 0j, v)),
 ]
 
 # Not a finite number: text is rejected even when it spells one.
@@ -140,10 +146,6 @@ OBJECTS = [
      lambda v: weak_value(path_projector_operator(Path.I), v, postselection_state())),
     ("weak_value", "psi_f", JointState,
      lambda v: weak_value(path_projector_operator(Path.I), initial_state(), v)),
-    ("exact_weak_values", "psi_i", JointState, lambda v: exact_weak_values(v)),
-    ("exact_weak_values", "psi_f", JointState, lambda v: exact_weak_values(psi_f=v)),
-    ("projective_spin_expectation", "psi", JointState,
-     lambda v: projective_spin_expectation(Path.I, v)),
     ("weakvalue_intensity", "weak_values", WeakValueSet,
      lambda v: weakvalue_intensity(0.1, Path.I, v, 0.25)),
 ]
@@ -221,7 +223,7 @@ NOT_REAL_GRIDS = [
     np.array([1 + 0j]),
     [[0.1], [0.2, 0.3]],
     np.zeros((2, 2)),
-    # object arrays of anything but Python ints and floats
+    # object arrays with an entry a scalar parameter rejects, or with two dimensions
     [None, 1.0],
     [1j, 10**30],
     ["0.5", 10**30],
@@ -260,6 +262,11 @@ GRID_ENTRIES = st.one_of(
     st.integers(-3, 3),
     # past uint64, numpy makes an object array; past a float, the rule fails
     st.sampled_from([10**30, -(10**30), 10**400, -(10**400)]),
+    # numpy scalars and fractions, which an object array holds as they are
+    st.integers(-3, 3).map(np.int64),
+    st.floats(width=32).map(np.float32),
+    st.fractions(max_denominator=10),
+    st.sampled_from([Fraction(1, 3), Fraction(10**400, 3)]),
 )
 
 
@@ -292,7 +299,9 @@ def test_grid_reads_real_scalars_and_arrays_as_float64(values):
     assert _require_grid("x", values).tobytes() == expected.tobytes()
 
 
-@pytest.mark.parametrize("values", [[10**30], [0.5, 10**30], 10**30, [True, -(10**30), 2.5]])
+@pytest.mark.parametrize(
+    "values", [[10**30], [0.5, 10**30], 10**30, [True, -(10**30), 2.5], [np.int64(3), 10**30]]
+)
 def test_grid_reads_python_ints_past_uint64_as_a_scalar_does(values):
     grid = run_batch(Scenario(), chi_rad=values)
     expected = [run_batch(Scenario(chi_rad=value)) for value in np.atleast_1d(values).tolist()]
