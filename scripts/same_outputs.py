@@ -7,9 +7,11 @@ BASE is any git revision.  The script exports it with ``git archive`` into a
 temporary directory, runs one fixed list of ``cheshire`` commands in that
 tree and in this working tree (uncommitted edits included) with the same
 interpreter, and compares each command's exit status, stdout, stderr and CSV
-file byte for byte.  It then runs ``pytest -q -s tests/test_acceptance.py``
-in both trees and compares the output, with a trailing `` in N.NNs`` cut from
-each line: criteria 03 and 09 print their own wall time, and pytest its own.
+file byte for byte.  The ``--config`` runs read two scenario files that the
+script writes into each tree's work directory first.  It then runs
+``pytest -q -s tests/test_acceptance.py`` in both trees and compares the
+output, with a trailing `` in N.NNs`` cut from each line: criteria 03 and 09
+print their own wall time, and pytest its own.
 
 Every listed command and the acceptance run must also exit 0 in both trees
 (``reproduce --scale-ref-cps 20`` 2, the code of a theory/data disagreement);
@@ -47,6 +49,14 @@ TEMPLATES = [
     for truncation in ("exact", "linear", "quadratic")
 ]
 
+# Scenario files for the --config runs: README's magnet config, and a
+# partial one that flags complete.
+CONFIGS = {
+    "magnet.cfg": "# benchmark magnet scenario\ninsertion = magnet\npath = II\nalpha_deg = 20\n"
+                  "truncation = exact\nscale_ref_cps = 11.25\n",
+    "partial.cfg": "insertion = magnet\n",
+}
+
 # A trailing wall time, as in "(want 4±0.2) in 0.01s" or "10 passed in 0.42s".
 WALL_TIME = re.compile(rb" in \d+\.\d+s$", re.MULTILINE)
 
@@ -76,17 +86,27 @@ def commands() -> list[tuple[list[str], str | None]]:
     for path in ("I", "II"):
         csv = f"analyze_{path}.csv"
         runs.append((["analyze", "--path", path, "--csv", csv], csv))
+    runs += [
+        (["run", "--config", "magnet.cfg"], None),
+        (["run", "--config", "magnet.cfg", "--alpha-deg", "0"], None),
+        (["run", "--config", "partial.cfg", "--path", "II", "--alpha-deg", "20"], None),
+        (["sweep", "--config", "magnet.cfg", "--vary", "alpha", "--points", "25",
+          "--csv", "sweep_config.csv"], "sweep_config.csv"),
+    ]
     return runs
 
 
 def outputs(tree: Path, work: Path) -> dict[str, bytes]:
     """Every output of the command list and the acceptance suite run on ``tree``, by label.
 
-    The commands run in ``work``, where their CSV files land; the tree's own
-    path is replaced by ``<tree>`` so that the two trees' messages compare.
+    The commands run in ``work``, where the config files are written and
+    their CSV files land; the tree's own path is replaced by ``<tree>`` so
+    that the two trees' messages compare.
     """
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
     work.mkdir()
+    for name, text in CONFIGS.items():
+        (work / name).write_text(text, encoding="utf-8")
     found: dict[str, bytes] = {}
 
     def call(label: str, argv: list[str]) -> bytes:

@@ -19,7 +19,7 @@ import os
 import re
 import sys
 from collections.abc import Iterable, Iterator
-from dataclasses import astuple, dataclass
+from dataclasses import astuple
 from pathlib import Path as FilePath
 
 import numpy as np
@@ -42,7 +42,6 @@ from .weak import exact_weak_values, projective_spin_expectation
 
 __all__ = [
     "CliError",
-    "ScenarioConfig",
     "parse_scenario_config",
     "format_scenario_config",
     "main",
@@ -66,8 +65,8 @@ class CliError(Exception):
 
 
 # Insertion -> the class it builds.  The class's fields are the optional
-# ScenarioConfig fields the insertion uses, required unless they have a
-# default; a field that the chosen insertion does not use must stay unset.
+# scenario fields the insertion uses, required unless they have a default;
+# a field that the chosen insertion does not use must stay unset.
 _INSERTIONS = {"none": None, "absorber": Absorber, "magnet": Magnet}
 _INSERTION_FIELDS = {
     name: {f.name: f.default is dataclasses.MISSING for f in dataclasses.fields(cls)} if cls else {}
@@ -75,50 +74,31 @@ _INSERTION_FIELDS = {
 }
 
 
-@dataclass(frozen=True)
-class ScenarioConfig:
-    """Validated scenario settings in canonical (radian) form.
+def _scenario(fields: dict[str, object]) -> tuple[Scenario, float]:
+    """The scenario and count-rate scale that parsed fields (radian form) describe.
 
-    ``None`` means "not set".  Construction checks only which fields the
-    insertion requires and allows.  The value rules (finite angles, T in
-    [0, 1], a positive scale) are those of :class:`Scenario` and of the
-    count rate, applied by building :meth:`to_scenario` and checking the
-    scale, so a config is either rejected with a message or convertible to
-    a :class:`Scenario`.
+    A missing field is unset.  Only which fields the insertion requires and
+    allows is checked here; the value rules (finite angles, T in [0, 1], a
+    positive scale) are those of :class:`Scenario` and of the count rate.
     """
-
-    insertion: str = "none"
-    path: Path | None = None
-    alpha_rad: float | None = None
-    transmissivity: float | None = None
-    chi_rad: float = 0.0
-    truncation: Truncation | None = None
-    scale_ref_cps: float = DEFAULT_SCALE_REF_CPS
-
-    def __post_init__(self) -> None:
-        uses = _INSERTION_FIELDS[_parse_value("insertion", self.insertion)]
-        optional = dict.fromkeys(f for fields in _INSERTION_FIELDS.values() for f in fields)
-        for field in optional:
-            name = field.removesuffix("_rad")
-            if getattr(self, field) is None:
-                if uses.get(field):
-                    raise ValueError(f"insertion = {self.insertion} requires {name}")
-            elif field not in uses:
-                users = [ins for ins, fields in _INSERTION_FIELDS.items() if field in fields]
-                raise ValueError(f"{name} requires insertion = {' or '.join(users)}")
-        self.to_scenario()
-        _require_real("scale_ref_cps", self.scale_ref_cps, "be positive")
-
-    def to_scenario(self) -> Scenario:
-        cls = _INSERTIONS[self.insertion]
-        given = {f: getattr(self, f) for f in _INSERTION_FIELDS[self.insertion]}
-        ins = None if cls is None else cls(**{f: v for f, v in given.items() if v is not None})
-        return Scenario(insertion=ins, chi_rad=self.chi_rad)
+    insertion = fields.get("insertion", "none")
+    uses = _INSERTION_FIELDS[insertion]
+    for field in dict.fromkeys(f for names in _INSERTION_FIELDS.values() for f in names):
+        name = field.removesuffix("_rad")
+        if field not in fields and uses.get(field):
+            raise ValueError(f"insertion = {insertion} requires {name}")
+        if field in fields and field not in uses:
+            users = [ins for ins, names in _INSERTION_FIELDS.items() if field in names]
+            raise ValueError(f"{name} requires insertion = {' or '.join(users)}")
+    cls = _INSERTIONS[insertion]
+    ins = cls and cls(**{f: fields[f] for f in uses if f in fields})
+    scale = fields.get("scale_ref_cps", DEFAULT_SCALE_REF_CPS)
+    return Scenario(ins, fields.get("chi_rad", 0.0)), _require_real("scale_ref_cps", scale, "be positive")
 
 
-# Config key -> (ScenarioConfig field, how its text converts).  The
-# conversion is a dict of the allowed spellings, or a function applied to
-# the number the text spells.  The degree keys land on the radian fields;
+# Config key -> (scenario field, how its text converts).  The conversion
+# is a dict of the allowed spellings, or a function applied to the number
+# the text spells.  The degree keys land on the radian fields;
 # each key is also a run/sweep flag (alpha_deg <-> --alpha-deg).  The order
 # is the order format_scenario_config writes.
 _KEYS = {
@@ -153,7 +133,7 @@ def _parse_value(key: str, text: str) -> object:
 
 
 def _fields(pairs: dict[str, str], spell=str) -> dict[str, object]:
-    """ScenarioConfig fields from one source's key -> text pairs.
+    """Scenario fields (see :func:`_scenario`) from one source's key -> text pairs.
 
     Two keys of the same field (an angle in degrees and in radians) are an
     error; ``spell`` names a key in that message.
@@ -189,22 +169,27 @@ def _file_fields(text: str) -> dict[str, object]:
     return _fields(pairs)
 
 
-def parse_scenario_config(text: str) -> ScenarioConfig:
+def parse_scenario_config(text: str) -> tuple[Scenario, float]:
     """Parse a flat ``key = value`` config (one pair per line, ``#`` comments).
 
-    Unknown and duplicate keys are errors, as is giving both the degree and
-    radian spelling of the same angle.
+    Returns the scenario and its ``scale_ref_cps``.  Unknown and duplicate
+    keys are errors, as is giving both the degree and radian spelling of the
+    same angle.
     """
-    return ScenarioConfig(**_file_fields(text))
+    return _scenario(_file_fields(text))
 
 
-def format_scenario_config(config: ScenarioConfig) -> str:
-    """Serialize a config in canonical radian form; re-parsing reproduces it exactly."""
+def format_scenario_config(scenario: Scenario, scale_ref_cps: float = DEFAULT_SCALE_REF_CPS) -> str:
+    """Serialize a scenario and scale in canonical radian form; re-parsing reproduces both exactly."""
+    ins = scenario.insertion
+    name = next(name for name, cls in _INSERTIONS.items() if isinstance(ins, cls or type(None)))
+    values = {f: getattr(ins, f) for f in _INSERTION_FIELDS[name]}
+    values.update(insertion=name, chi_rad=scenario.chi_rad, scale_ref_cps=scale_ref_cps)
     lines = []
     for key, (field, convert) in _KEYS.items():
-        value = getattr(config, field)
-        if key != field or value is None:
+        if key != field or field not in values:
             continue
+        value = values[field]
         if isinstance(convert, dict):
             text = next(spelling for spelling, v in convert.items() if v == value)
         else:
@@ -248,8 +233,8 @@ def _csv_path(text: str) -> str:
     return text
 
 
-def _merged_config(args: argparse.Namespace, fill: dict[str, object] | None = None) -> ScenarioConfig:
-    """The config file's fields, overlaid by the fields of the flags given.
+def _merged_config(args: argparse.Namespace, fill: dict | None = None) -> tuple[Scenario, float]:
+    """The scenario and scale of the config file's fields, overlaid by the flags' fields.
 
     ``fill`` gives values for fields that the chosen insertion uses and
     that neither source sets.
@@ -265,7 +250,7 @@ def _merged_config(args: argparse.Namespace, fill: dict[str, object] | None = No
     fields.update(_fields(flags, spell=_flag))
     uses = _INSERTION_FIELDS[fields.get("insertion", "none")]
     fields = {**{k: v for k, v in (fill or {}).items() if k in uses}, **fields}
-    return ScenarioConfig(**fields)
+    return _scenario(fields)
 
 
 def _num(value: float) -> str:
@@ -339,9 +324,8 @@ def _write_csv(path_text: str | None, lines: Iterable[str]) -> None:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    config = _merged_config(args)
-    scenario = config.to_scenario()
-    result = run(scenario, config.scale_ref_cps)
+    scenario, scale = _merged_config(args)
+    result = run(scenario, scale)
     print(f"scenario: {_scenario_id(scenario)}  chi_rad={scenario.chi_rad:.12g}")
     rows = [
         [det.value, f"{result[det].intensity_norm:.12g}", f"{result[det].intensity_cps:.12g}"]
@@ -353,8 +337,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     # An alpha grid replaces the magnet's angle, so none need be given; any fills it.
-    config = _merged_config(args, {"alpha_rad": 0.0} if args.vary == "alpha" else None)
-    template = config.to_scenario()
+    template, scale = _merged_config(args, {"alpha_rad": 0.0} if args.vary == "alpha" else None)
 
     given = (args.start, args.stop, args.points)
     start, stop, points = (d if v is None else v for v, d in zip(given, _SWEEP_GRID[args.vary]))
@@ -373,7 +356,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         grid = np.geomspace(start, stop, points)
         readings = run_batch(template, alpha_rad=grid)
 
-    _write_csv(args.csv, _sweep_csv(template, args.vary, grid, readings, config.scale_ref_cps))
+    _write_csv(args.csv, _sweep_csv(template, args.vary, grid, readings, scale))
     return EXIT_OK
 
 
@@ -390,8 +373,7 @@ def cmd_weakvalues(args: argparse.Namespace) -> int:
 
 
 def cmd_reproduce(args: argparse.Namespace) -> int:
-    scale = DEFAULT_SCALE_REF_CPS if args.scale_ref_cps is None else args.scale_ref_cps
-    table = reproduce_benchmark_table(scale)
+    table = reproduce_benchmark_table(args.scale_ref_cps)
     rows = [
         [
             row.quantity,
@@ -474,7 +456,7 @@ def build_parser() -> _Parser:
     p_weak.set_defaults(func=cmd_weakvalues)
 
     p_repr = sub.add_parser("reproduce", help="compare predictions with published benchmarks")
-    p_repr.add_argument("--scale-ref-cps", dest="scale_ref_cps", type=float)
+    p_repr.add_argument("--scale-ref-cps", type=float, default=DEFAULT_SCALE_REF_CPS)
     p_repr.set_defaults(func=cmd_reproduce)
 
     p_ana = sub.add_parser("analyze", help="truncation-order scan and witness deficits")

@@ -23,16 +23,17 @@ phase is a per-path scalar, and the recombiner plus spin filter one fixed
 contraction whose 1/sqrt(2) factors are folded into exact powers of two.
 One map, ``_factor``, gives every insertion as ``(path, c, s)``: an
 absorber is (sqrt(T), 0), a magnet its truncation's (c, s) of
-``_ROTATION``.  The sweeps are one call each; the truncation scan of
-:mod:`cheshire.analysis` stacks its three rotations' (c, s) into one pass
-of the same kernel.  :func:`run`, always one point, reads its scenario
-out in Python scalars instead, with the same bits as the kernel's row: a
-real factor is a Python product, the one general complex product (an
-amplitude times a rotation's ``c ± i s``) goes through ``np.multiply``,
-whose loop may fuse a multiply-add, and each port sums its squares in
-numpy's order.  The witness of :mod:`cheshire.analysis`, one angle, reads
-its three truncations through that scalar route.  The canonical weak
-values are contracted once from the same ``(path, spin)`` constants.
+``_ROTATION``, and no insertion the identity (1, 0).  The sweeps are one
+call each; the truncation scan of :mod:`cheshire.analysis` stacks its
+three rotations' (c, s) into one pass of the same kernel.  :func:`run`,
+always one point, reads its scenario out in Python scalars instead, with
+the same bits as the kernel's row: a real factor is a Python product, the
+one general complex product (an amplitude times a rotation's ``c ± i s``)
+goes through ``np.multiply``, whose loop may fuse a multiply-add, and each
+port sums its squares in numpy's order.  The witness of
+:mod:`cheshire.analysis`, one angle, reads its three truncations through
+that scalar route.  The canonical weak values are contracted once from
+the same ``(path, spin)`` constants.
 The 4x4 joint algebra of :mod:`cheshire.qcore` and
 :mod:`cheshire.elements` is not on either route; it serves
 :func:`cheshire.weak.weak_value` for arbitrary operators and is the
@@ -180,10 +181,10 @@ def _factor(insertion: Insertion, alpha: np.ndarray | None = None) -> tuple:
 
     An absorber is (sqrt(T), 0).  A magnet is its truncation's row of
     ``_ROTATION``, at its own angle or, when ``alpha`` is given, at each angle
-    of that grid.  No insertion is (None, 1, 0).
+    of that grid.  No insertion is the identity, (path I, 1, 0).
     """
     if insertion is None:
-        return None, 1.0, 0.0
+        return Path.I, 1.0, 0.0
     if isinstance(insertion, Absorber):
         return insertion.path, math.sqrt(insertion.transmissivity), 0.0
     c, s = _ROTATION[insertion.truncation](insertion.alpha_rad if alpha is None else alpha)
@@ -198,22 +199,20 @@ _RECOMBINE = np.array([[1.0], [-1.0]])
 _PORT_WEIGHTS = np.array([0.25, 0.5, 0.5])
 
 
-def _readout(chi: np.ndarray, path: Path | None, c, s, alpha: np.ndarray | None) -> np.ndarray:
+def _readout(chi: np.ndarray, path: Path, c, s, alpha: np.ndarray | None) -> np.ndarray:
     """The one array pass: ``(N, 3)`` readings, columns as :class:`Detector`.
 
     Row n has phase ``chi[n]`` and, on ``path``, the spin diagonal
     c + i s sigma_z of :func:`_factor`; ``c`` and ``s`` are scalars or one
-    value per row, and a None ``path`` is no insertion.  ``alpha`` only names
-    a non-finite row in the ValueError.  Callers hold
-    ``np.errstate(over="ignore", invalid="ignore")``, since a truncated
-    rotation at a huge angle overflows.
+    value per row.  ``alpha`` only names a non-finite row in the ValueError.
+    Callers hold ``np.errstate(over="ignore", invalid="ignore")``, since a
+    truncated rotation at a huge angle overflows.
     """
     amp = _PREPARED * np.exp(np.multiply.outer(chi, _HALF_PHASE))[:, :, np.newaxis]
-    if path is not None:
-        factor = np.multiply.outer(s, _I_SIGMA_Z)
-        factor += np.asarray(c)[..., np.newaxis]  # in place: one (N, 2) temporary fewer
-        amp[:, path.value] *= factor
-        del factor  # freed before the ports are built, which is the peak on a long grid
+    factor = np.multiply.outer(s, _I_SIGMA_Z)
+    factor += np.asarray(c)[..., np.newaxis]  # in place: one (N, 2) temporary fewer
+    amp[:, path.value] *= factor
+    del factor  # freed before the ports are built, which is the peak on a long grid
 
     # ports[n, port, spin]: the filtered O amplitude (times 2, in the
     # spin-up slot), then the O and H ports (times sqrt(2)).
@@ -243,13 +242,12 @@ def _readout_one(scenario: Scenario) -> tuple[float, float, float]:
     re, im = 0.5 * math.cos(half), 0.5 * math.sin(half)
     # amp[path][spin] of the prepared state behind the phase shifter
     amp = [[complex(re, -im), complex(re, -im)], [complex(re, im), complex(-re, -im)]]
-    if path is not None:
-        spins = amp[path.value]
-        if s == 0.0:
-            amp[path.value] = [a * c for a in spins]
-        else:
-            with np.errstate(over="ignore", invalid="ignore"):
-                amp[path.value] = np.multiply(spins, [complex(c, s), complex(c, -s)]).tolist()
+    spins = amp[path.value]
+    if s == 0.0:
+        amp[path.value] = [a * c for a in spins]
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):
+            amp[path.value] = np.multiply(spins, [complex(c, s), complex(c, -s)]).tolist()
 
     (i_up, i_down), (ii_up, ii_down) = amp
     o_up, o_down = i_up + ii_up, i_down + ii_down
@@ -319,9 +317,19 @@ def count_rate(intensity_norm, scale_ref_cps: float):
     """Count rate of a normalized intensity (a float or an array).
 
     ``intensity_norm * scale_ref_cps / I_REF_NORM``, so the empty beamline
-    reads exactly ``scale_ref_cps`` at O_SELECTED.
+    reads exactly ``scale_ref_cps`` at O_SELECTED.  Raises ValueError when a
+    rate is not finite (a scale near the float maximum overflows).
     """
-    return intensity_norm * scale_ref_cps / I_REF_NORM
+    if type(intensity_norm) is float:  # run's scalar route: no numpy call
+        rate = intensity_norm * scale_ref_cps / I_REF_NORM
+        if math.isfinite(rate):
+            return rate
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):
+            rate = intensity_norm * scale_ref_cps / I_REF_NORM
+        if np.isfinite(rate).all():
+            return rate
+    raise ValueError(f"count rates are not finite at scale_ref_cps={scale_ref_cps!r}")
 
 
 def _records(scenarios: list[Scenario], readings: np.ndarray, scale: float) -> list[IntensityRecord]:

@@ -124,9 +124,8 @@ def test_factor_is_the_factories_spin_diagonal(insertion):
     # c + i s sigma_z on the inserted path's spin, the identity on the other path
     path, c, s = _factor(insertion)
     expected = np.eye(4, dtype=complex)
-    if path is not None:
-        i = 2 * path.value
-        expected[i, i], expected[i + 1, i + 1] = complex(c, s), complex(c, -s)
+    i = 2 * path.value
+    expected[i, i], expected[i + 1, i + 1] = complex(c, s), complex(c, -s)
     if np.isfinite(expected).all():
         assert (insertion_operator(insertion).matrix == expected).all()
     else:

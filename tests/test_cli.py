@@ -7,16 +7,18 @@ from pathlib import Path as FilePath
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cheshire import analysis, cli, experiment
 from cheshire.cli import (
     MAX_POINTS,
-    ScenarioConfig,
     format_scenario_config,
     main,
     parse_scenario_config,
 )
 from cheshire.elements import Truncation
+from cheshire.experiment import DEFAULT_SCALE_REF_CPS, Absorber, Magnet, Scenario
 from cheshire.qcore import Path
 
 
@@ -102,6 +104,34 @@ class TestNonFiniteReadings:
         assert err.startswith("error: ") and "not finite" in err
         assert "Traceback" not in err
         assert "inf" not in out
+
+
+class TestOverflowingCountRate:
+    SCALE = ["--scale-ref-cps", "1.79e308"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--insertion", "magnet", "--path", "I", "--alpha-deg", "180"],
+            ["reproduce"],
+            ["sweep", "--vary", "chi", "--points", "5"],
+        ],
+    )
+    def test_is_one_error_line(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv, *self.SCALE)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "scale_ref_cps" in err
+
+    def test_keeps_an_existing_csv(self, capsys, tmp_path):
+        out_csv = tmp_path / "sweep.csv"
+        out_csv.write_bytes(b"old contents\n")
+        code, out, _ = run_cli(capsys, "sweep", "--vary", "chi", *self.SCALE, "--csv", str(out_csv))
+        assert code == 1
+        assert out == ""
+        assert out_csv.read_bytes() == b"old contents\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["sweep.csv"]
 
 
 class TestUsageErrors:
@@ -202,19 +232,38 @@ class TestConfigFile:
 
     def test_round_trip_is_semantically_stable(self):
         parsed = parse_scenario_config(self.CONFIG)
-        again = parse_scenario_config(format_scenario_config(parsed))
+        again = parse_scenario_config(format_scenario_config(*parsed))
         assert again == parsed
-        assert again.to_scenario() == parsed.to_scenario()
+        assert parsed == (Scenario(Magnet(Path.II, math.radians(20.0))), 11.25)
 
     def test_round_trip_preserves_full_float_precision(self):
-        config = ScenarioConfig(
-            insertion="magnet",
-            path=Path.I,
-            alpha_rad=0.123456789012345678,
-            truncation=Truncation.QUADRATIC,
-            chi_rad=math.pi / 7,
-        )
-        assert parse_scenario_config(format_scenario_config(config)) == config
+        scenario = Scenario(Magnet(Path.I, 0.123456789012345678, Truncation.QUADRATIC), math.pi / 7)
+        text = format_scenario_config(scenario)
+        assert parse_scenario_config(text) == (scenario, DEFAULT_SCALE_REF_CPS)
+
+
+# The whole scenario space: no insertion, any absorber, a magnet at any
+# finite angle in any truncation, any finite phase; any positive scale.
+finite = st.floats(allow_nan=False, allow_infinity=False)
+paths = st.sampled_from(list(Path))
+scenarios = st.builds(
+    Scenario,
+    st.one_of(
+        st.none(),
+        st.builds(Absorber, paths, st.floats(0.0, 1.0)),
+        st.builds(Magnet, paths, finite, st.sampled_from(list(Truncation))),
+    ),
+    finite,
+)
+scales = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+
+@settings(max_examples=500, deadline=None)
+@given(scenarios, scales)
+def test_config_round_trip_covers_the_scenario_space(scenario, scale):
+    text = format_scenario_config(scenario, scale)
+    assert parse_scenario_config(text) == (scenario, scale)
+    assert format_scenario_config(*parse_scenario_config(text)) == text
 
 
 class TestSweepCommand:
@@ -475,7 +524,7 @@ class TestOneValidationLayer:
     )
     def test_config_rejects_what_its_scenario_rejects(self, fields):
         with pytest.raises(ValueError):
-            ScenarioConfig(**fields)
+            cli._scenario(fields)
 
     @pytest.mark.parametrize(
         "key, text",

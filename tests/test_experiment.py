@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from cheshire.analysis import fit_loglog_slope
@@ -15,6 +17,7 @@ from cheshire.experiment import (
     Magnet,
     Scenario,
     closed_form_o,
+    count_rate,
     initial_state,
     postselection_state,
     run,
@@ -259,6 +262,44 @@ class TestSweeps:
         chis = [r.scenario.chi_rad for r in records]
         assert chis == [0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 2.0, 2.0, 2.0]
         assert [r.detector for r in records[:3]] == list(Detector)
+
+
+# Scales whose quarter is a normal float, so the scaling rounds nowhere.
+normal_scales = st.floats(min_value=1e-300, max_value=1.79e308)
+
+
+class TestCountRate:
+    @given(normal_scales)
+    def test_reference_intensity_reads_the_scale_exactly(self, scale):
+        assert count_rate(0.25, scale) == scale
+
+    @settings(deadline=None)
+    @given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20), normal_scales)
+    def test_an_array_gives_the_bits_of_its_scalars(self, norms, scale):
+        try:
+            rates = [count_rate(norm, scale).hex() for norm in norms]
+        except ValueError:
+            with pytest.raises(ValueError, match="scale_ref_cps"):
+                count_rate(np.array(norms), scale)
+        else:
+            assert [r.hex() for r in count_rate(np.array(norms), scale).tolist()] == rates
+
+    @pytest.mark.parametrize(
+        "norm", [0.5, np.float64(0.5), np.array([0.25, 0.5])], ids=["float", "float64", "array"]
+    )
+    def test_an_overflowing_rate_is_an_error(self, norm):
+        with pytest.raises(ValueError, match="scale_ref_cps=1.79e"):
+            count_rate(norm, 1.79e308)
+
+    def test_run_and_sweeps_refuse_an_overflowing_rate(self):
+        # O_unselected of the empty beamline is 1/2, twice the reference
+        with pytest.raises(ValueError, match="scale_ref_cps"):
+            run(Scenario(), 1e308)
+        with pytest.raises(ValueError, match="scale_ref_cps"):
+            sweep_chi(Scenario(), [0.0, 1.0], 1.79e308)
+        magnet = Scenario(Magnet(Path.I, 0.1))
+        with pytest.raises(ValueError, match="scale_ref_cps"):
+            sweep_alpha(magnet, [0.1, math.pi], 1.79e308)
 
 
 class TestValidation:
