@@ -20,7 +20,10 @@ error, a renamed flag) do not pass as identical.  Exit status 0 means every
 output is identical and every run succeeded, 1 that some output differs or
 some run failed (each is shown), 2 that BASE is not a commit.  The exported
 tree is removed on exit.  A change that alters an output on purpose fails this
-check, so it is run by hand, not in CI.  Standard library only.
+check against its parent, so that comparison is run by hand.  CI runs it with
+BASE = HEAD, where the two trees are the same: it then fails only when the
+script itself has rotted or a listed command no longer exits as expected.
+Standard library only.
 """
 
 from __future__ import annotations

@@ -316,24 +316,31 @@ def run_batch(template: Scenario, *, chi_rad=None, alpha_rad=None) -> np.ndarray
 def count_rate(intensity_norm, scale_ref_cps: float):
     """Count rate of a normalized intensity (a float or an array).
 
-    ``intensity_norm * scale_ref_cps / I_REF_NORM``, so the empty beamline
-    reads exactly ``scale_ref_cps`` at O_SELECTED.  Raises ValueError when a
-    rate is not finite (a scale near the float maximum overflows).
+    ``intensity_norm / I_REF_NORM * scale_ref_cps``, so the empty beamline
+    reads exactly ``scale_ref_cps`` at O_SELECTED, a subnormal scale
+    included.  Raises ValueError when the scale is not positive or a rate
+    is not finite (a scale near the float maximum overflows).
     """
+    scale = _require_real("scale_ref_cps", scale_ref_cps, "be positive")
+    return _count_rate(intensity_norm, scale)
+
+
+def _count_rate(intensity_norm, scale: float):
+    """:func:`count_rate` of a scale already checked."""
     if type(intensity_norm) is float:  # run's scalar route: no numpy call
-        rate = intensity_norm * scale_ref_cps / I_REF_NORM
+        rate = intensity_norm / I_REF_NORM * scale
         if math.isfinite(rate):
             return rate
     else:
         with np.errstate(over="ignore", invalid="ignore"):
-            rate = intensity_norm * scale_ref_cps / I_REF_NORM
+            rate = intensity_norm / I_REF_NORM * scale
         if np.isfinite(rate).all():
             return rate
-    raise ValueError(f"count rates are not finite at scale_ref_cps={scale_ref_cps!r}")
+    raise ValueError(f"count rates are not finite at scale_ref_cps={scale!r}")
 
 
 def _records(scenarios: list[Scenario], readings: np.ndarray, scale: float) -> list[IntensityRecord]:
-    cps = count_rate(readings, scale).tolist()
+    cps = _count_rate(readings, scale).tolist()
     return [
         IntensityRecord(scenario, det, norm, rate, scale)
         for scenario, norms, rates in zip(scenarios, readings.tolist(), cps)
@@ -347,7 +354,7 @@ def run(
     """Simulate one scenario and return one record per detector (see :func:`count_rate`)."""
     scale = _require_real("scale_ref_cps", scale_ref_cps, "be positive")
     return {
-        det: IntensityRecord(scenario, det, norm, count_rate(norm, scale), scale)
+        det: IntensityRecord(scenario, det, norm, _count_rate(norm, scale), scale)
         for det, norm in zip(_DETECTORS, _readout_one(scenario))
     }
 

@@ -25,16 +25,12 @@ from enum import Enum
 import numpy as np
 
 __all__ = [
-    "DIM",
-    "Spin",
     "Path",
-    "SX_PLUS",
     "SX_MINUS",
     "ID2",
     "SIGMA_Z",
     "JointState",
     "JointOperator",
-    "basis_index",
     "path_projector",
     "spin_on_path",
     "tensor",
@@ -46,16 +42,6 @@ __all__ = [
     "compose",
     "is_unitary",
 ]
-
-DIM = 4
-
-
-class Spin(Enum):
-    """Spin-z basis label."""
-
-    UP = 0
-    DOWN = 1
-
 
 class Path(Enum):
     """Interferometer arm label: I is the lower path, II the upper path."""
@@ -126,21 +112,15 @@ def _require_member(name: str, value, kind: type):
     raise TypeError(f"{name} must be a {kind.__name__}, got {value!r}")
 
 
-# Real transverse-spin states: |x+> = (|up> + |down>)/sqrt(2) and
-# |x-> = (|up> - |down>)/sqrt(2).  With sigma_z = diag(1, -1) this fixes
-# sigma_z |x+-> = |x-+> with a plus sign; any intensity is unaffected by
-# that sign choice, but signed cross products (weak values of sigma_z
+# The real transverse-minus spin state |x-> = (|up> - |down>)/sqrt(2), and
+# |x+> = (|up> + |down>)/sqrt(2) beside it.  With sigma_z = diag(1, -1) this
+# fixes sigma_z |x+-> = |x-+> with a plus sign; any intensity is unaffected
+# by that sign choice, but signed cross products (weak values of sigma_z
 # conditioned on a path) inherit it.
-SX_PLUS = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
 SX_MINUS = np.array([1.0, -1.0], dtype=complex) / np.sqrt(2.0)
 
 ID2 = np.eye(2, dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-
-
-def basis_index(spin: Spin, path: Path) -> int:
-    """Index of the joint basis vector carrying the given spin and path."""
-    return _require_member("spin", spin, Spin).value + 2 * _require_member("path", path, Path).value
 
 
 def _as_finite_complex(values, shape, what: str) -> np.ndarray:
@@ -165,16 +145,7 @@ class JointState:
     amp: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "amp", _as_finite_complex(self.amp, (DIM,), "state amplitudes"))
-
-    def norm2(self) -> float:
-        """Squared norm, i.e. the total detectable intensity."""
-        return float(np.vdot(self.amp, self.amp).real)
-
-    def path_amplitudes(self, path: Path) -> np.ndarray:
-        """The 2-component spin amplitude vector riding on one path."""
-        lo = 2 * _require_member("path", path, Path).value
-        return np.array(self.amp[lo : lo + 2], dtype=complex)
+        object.__setattr__(self, "amp", _as_finite_complex(self.amp, (4,), "state amplitudes"))
 
 
 @dataclass(frozen=True, eq=False)
@@ -185,24 +156,14 @@ class JointOperator:
 
     def __post_init__(self) -> None:
         object.__setattr__(
-            self, "matrix", _as_finite_complex(self.matrix, (DIM, DIM), "operator matrix")
+            self, "matrix", _as_finite_complex(self.matrix, (4, 4), "operator matrix")
         )
-
-    def __matmul__(self, other: "JointOperator") -> "JointOperator":
-        return JointOperator(self.matrix @ other.matrix)
 
     def __add__(self, other: "JointOperator") -> "JointOperator":
         return JointOperator(self.matrix + other.matrix)
 
     def __mul__(self, scalar: complex) -> "JointOperator":
         return JointOperator(self.matrix * scalar)
-
-    def dagger(self) -> "JointOperator":
-        return JointOperator(self.matrix.conj().T)
-
-    def is_unitary(self, tol: float = 1e-12) -> bool:
-        defect = self.matrix @ self.matrix.conj().T - np.eye(DIM)
-        return bool(np.max(np.abs(defect)) <= tol)
 
 
 def path_projector(path: Path) -> np.ndarray:
@@ -217,7 +178,7 @@ def spin_on_path(spin_amplitudes, path: Path) -> JointState:
     """Joint state carrying the given 2-component spin vector on one path."""
     lo = 2 * _require_member("path", path, Path).value
     spin = _as_finite_complex(spin_amplitudes, (2,), "spin amplitudes")
-    amp = np.zeros(DIM, dtype=complex)
+    amp = np.zeros(4, dtype=complex)
     amp[lo : lo + 2] = spin
     return JointState(amp)
 
@@ -236,7 +197,7 @@ def tensor(spin_op, path_op) -> JointOperator:
 
 
 def identity() -> JointOperator:
-    return JointOperator(np.eye(DIM, dtype=complex))
+    return JointOperator(np.eye(4, dtype=complex))
 
 
 def apply(op: JointOperator, state: JointState) -> JointState:
@@ -250,17 +211,18 @@ def inner(bra: JointState, ket: JointState) -> complex:
 
 
 def norm2(state: JointState) -> float:
-    return state.norm2()
+    """Squared norm, i.e. the total detectable intensity."""
+    return float(np.vdot(state.amp, state.amp).real)
 
 
 def dagger(op: JointOperator) -> JointOperator:
-    return op.dagger()
+    return JointOperator(op.matrix.conj().T)
 
 
 def compose(a: JointOperator, b: JointOperator) -> JointOperator:
     """Matrix product a @ b (apply ``b`` first, then ``a``)."""
-    return a @ b
+    return JointOperator(a.matrix @ b.matrix)
 
 
 def is_unitary(op: JointOperator, tol: float = 1e-12) -> bool:
-    return op.is_unitary(tol)
+    return bool(np.max(np.abs(op.matrix @ op.matrix.conj().T - np.eye(4))) <= tol)

@@ -24,7 +24,7 @@ from cheshire.experiment import (
     sweep_alpha,
     sweep_chi,
 )
-from cheshire.qcore import Path, inner, norm2
+from cheshire.qcore import Path, inner, norm2, spin_on_path
 
 ALPHA_20 = math.radians(20.0)
 
@@ -48,9 +48,8 @@ class TestStates:
     def test_postselection_rejects_plus_on_path_I(self):
         # <x+ on I | psi_f> = 0: the post-selected spin state has no
         # transverse-plus component on path I
-        from cheshire.qcore import SX_PLUS, spin_on_path
-
-        overlap = inner(spin_on_path(SX_PLUS, Path.I), postselection_state())
+        sx_plus = np.array([1.0, 1.0]) / np.sqrt(2.0)
+        overlap = inner(spin_on_path(sx_plus, Path.I), postselection_state())
         assert overlap == pytest.approx(0.0, abs=1e-15)
 
 
@@ -264,17 +263,19 @@ class TestSweeps:
         assert [r.detector for r in records[:3]] == list(Detector)
 
 
-# Scales whose quarter is a normal float, so the scaling rounds nowhere.
-normal_scales = st.floats(min_value=1e-300, max_value=1.79e308)
+# Every positive finite scale, subnormals included.
+positive_scales = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 
 
 class TestCountRate:
-    @given(normal_scales)
+    @given(positive_scales)
     def test_reference_intensity_reads_the_scale_exactly(self, scale):
+        # the quarter is undone before the scale multiplies, so nothing rounds
         assert count_rate(0.25, scale) == scale
+        assert count_rate(np.array([0.25]), scale).tolist() == [scale]
 
     @settings(deadline=None)
-    @given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20), normal_scales)
+    @given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20), positive_scales)
     def test_an_array_gives_the_bits_of_its_scalars(self, norms, scale):
         try:
             rates = [count_rate(norm, scale).hex() for norm in norms]
@@ -283,6 +284,15 @@ class TestCountRate:
                 count_rate(np.array(norms), scale)
         else:
             assert [r.hex() for r in count_rate(np.array(norms), scale).tolist()] == rates
+
+    def test_a_subnormal_scale_reads_itself_on_the_empty_beamline(self):
+        assert run(Scenario(), 5e-324)[Detector.O_SELECTED].intensity_cps == 5e-324
+
+    @pytest.mark.parametrize("scale", [-3.0, 0.0, -0.0])
+    def test_a_scale_that_is_not_positive_is_an_error(self, scale):
+        for norm in (0.25, np.array([0.25])):
+            with pytest.raises(ValueError, match=r"^scale_ref_cps must be positive, got "):
+                count_rate(norm, scale)
 
     @pytest.mark.parametrize(
         "norm", [0.5, np.float64(0.5), np.array([0.25, 0.5])], ids=["float", "float64", "array"]

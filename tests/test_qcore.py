@@ -1,4 +1,6 @@
 import importlib
+import importlib.util
+from pathlib import Path as FilePath
 
 import numpy as np
 import pytest
@@ -12,14 +14,12 @@ from cheshire.qcore import (
     ID2,
     SIGMA_Z,
     SX_MINUS,
-    SX_PLUS,
     JointOperator,
     JointState,
     Path,
-    Spin,
     apply,
-    basis_index,
     compose,
+    dagger,
     identity,
     inner,
     is_unitary,
@@ -28,6 +28,8 @@ from cheshire.qcore import (
     spin_on_path,
     tensor,
 )
+
+SX_PLUS = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
 
 
 def random_state(rng) -> JointState:
@@ -39,12 +41,6 @@ def random_op2(rng) -> np.ndarray:
 
 
 class TestBasisOrder:
-    def test_basis_index_is_path_major(self):
-        assert basis_index(Spin.UP, Path.I) == 0
-        assert basis_index(Spin.DOWN, Path.I) == 1
-        assert basis_index(Spin.UP, Path.II) == 2
-        assert basis_index(Spin.DOWN, Path.II) == 3
-
     def test_tensor_identity_is_identity(self):
         assert_allclose(tensor(ID2, ID2).matrix, np.eye(4), atol=0)
 
@@ -116,7 +112,7 @@ class TestOperatorAlgebra:
     def test_dagger_involution(self):
         rng = np.random.default_rng(5)
         op = JointOperator(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
-        assert_allclose(op.dagger().dagger().matrix, op.matrix, atol=0)
+        assert_allclose(dagger(dagger(op)).matrix, op.matrix, atol=0)
 
     def test_identity_is_unitary(self):
         assert is_unitary(identity())
@@ -126,7 +122,7 @@ class TestOperatorAlgebra:
         # defect at a = 0.3 is exactly 0.0225, far above the tolerance
         a = 0.3
         op = tensor(ID2 + 0.5j * a * SIGMA_Z, ID2)
-        assert not op.is_unitary(tol=1e-12)
+        assert not is_unitary(op, tol=1e-12)
         defect = op.matrix @ op.matrix.conj().T - np.eye(4)
         assert np.max(np.abs(defect)) == pytest.approx(0.0225, rel=1e-12)
 
@@ -183,7 +179,7 @@ def test_z_rotation_tensor_is_unitary(angle):
 # The 4x4 reference layer and the helpers built on it, by home module: each
 # is imported from there, and none from the package.
 REFERENCE_LAYER = {
-    "qcore": ["JointOperator", "JointState", "Spin", "apply", "compose", "dagger", "identity",
+    "qcore": ["JointOperator", "JointState", "apply", "compose", "dagger", "identity",
               "inner", "is_unitary", "norm2", "spin_on_path", "tensor"],
     "elements": ["absorber", "magnetic_rotation", "phase_shifter", "recombine",
                  "spin_rotation_matrix", "spin_select_minus"],
@@ -200,3 +196,29 @@ def test_reference_layer_lives_on_its_module_not_the_package():
             assert hasattr(home, name), f"cheshire.{module}.{name}"
     # the two labels every caller needs stay on the package
     assert cheshire.Path is qcore.Path and cheshire.Truncation is elements.Truncation
+
+
+def _traced_layers() -> dict[str, tuple[str, ...]]:
+    """The ``LAYERS`` table of the benchmark's tracer, read from its file."""
+    tracing = FilePath(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", tracing)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.LAYERS
+
+
+def test_the_4x4_layer_exports_only_the_traced_names():
+    # the names the tracer wraps, and the labels and 2x2 constants the
+    # rest of the package shares; a helper beyond them has no caller
+    layers = _traced_layers()
+    assert set(qcore.__all__) == set(layers["qcore"]) | {"Path", "ID2", "SIGMA_Z", "SX_MINUS"}
+    assert set(elements.__all__) == set(layers["elements"]) | {"Truncation"}
+
+
+@pytest.mark.parametrize("cls", [JointState, JointOperator], ids=lambda c: c.__name__)
+def test_joint_classes_have_no_method_twins(cls):
+    # each operation has one spelling, the free function the tracer wraps;
+    # the classes keep only the dataclass machinery, + and * by a scalar
+    machinery = {"__init__", "__post_init__", "__repr__", "__setattr__", "__delattr__"}
+    methods = {name for name, value in vars(cls).items() if callable(value)} - machinery
+    assert methods <= {"__add__", "__mul__"}, methods

@@ -3,9 +3,8 @@
 Every public scalar parameter takes a finite number in its range and
 rejects anything else, ``None`` and text included, with a ValueError whose
 message starts with the parameter's name.  Every path parameter rejects
-anything that is not a :class:`Path` with a TypeError, every truncation
-parameter anything that is not a :class:`Truncation`, and the spin parameter
-anything that is not a :class:`Spin`.  State, operator and weak-value
+anything that is not a :class:`Path` with a TypeError, and every truncation
+parameter anything that is not a :class:`Truncation`.  State, operator and weak-value
 parameters reject anything that is not their class with a TypeError too.
 Every grid parameter takes a scalar or a one-dimensional array of real
 numbers whose entries meet its rule, and rejects anything else with a
@@ -39,6 +38,7 @@ from cheshire.experiment import (
     Absorber,
     Magnet,
     Scenario,
+    count_rate,
     initial_state,
     postselection_state,
     run,
@@ -51,10 +51,8 @@ from cheshire.qcore import (
     JointOperator,
     JointState,
     Path,
-    Spin,
     _require_grid,
     _require_real,
-    basis_index,
     path_projector,
     spin_on_path,
 )
@@ -78,6 +76,7 @@ SCALARS = [
     ("Absorber", "transmissivity", lambda v: Absorber(Path.I, v)),
     ("Magnet", "alpha_rad", lambda v: Magnet(Path.I, v)),
     ("Scenario", "chi_rad", lambda v: Scenario(chi_rad=v)),
+    ("count_rate", "scale_ref_cps", lambda v: count_rate(0.25, v)),
     ("run", "scale_ref_cps", lambda v: run(Scenario(), v)),
     ("sweep_chi", "scale_ref_cps", lambda v: sweep_chi(Scenario(), [0.0], v)),
     ("sweep_alpha", "scale_ref_cps", lambda v: sweep_alpha(MAGNET_II, [0.1], v)),
@@ -134,8 +133,6 @@ PATHS = [
     ("truncation_scan", lambda p: truncation_scan(p, np.geomspace(0.01, 0.3, 10))),
     ("path_projector", path_projector),
     ("spin_on_path", lambda p: spin_on_path([1.0, 0.0], p)),
-    ("basis_index", lambda p: basis_index(Spin.UP, p)),
-    ("JointState.path_amplitudes", lambda p: initial_state().path_amplitudes(p)),
 ]
 
 # (function, parameter, its class, a call passing ``v`` as that parameter)
@@ -172,11 +169,6 @@ def test_scalar_parameter_rejects_what_is_not_a_finite_number(parameter, call, b
 def test_path_parameter_rejects_what_is_not_a_path(call):
     with pytest.raises(TypeError, match=r"^path must be a Path, got 'I'$"):
         call("I")
-
-
-def test_spin_parameter_rejects_what_is_not_a_spin():
-    with pytest.raises(TypeError, match=r"^spin must be a Spin, got 'UP'$"):
-        basis_index("UP", Path.I)
 
 
 @pytest.mark.parametrize("call", [c for _, c in TRUNCATIONS], ids=[n for n, _ in TRUNCATIONS])
