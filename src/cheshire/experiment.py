@@ -268,9 +268,7 @@ def _port_norm(up: complex, down: complex) -> float:
 
 def _not_finite(chi: float, alpha: float | None) -> ValueError:
     """The error for a non-finite reading, naming its angles."""
-    where = f"chi_rad={chi!r}"
-    if alpha is not None:
-        where = f"alpha_rad={alpha!r}, {where}"
+    where = f"chi_rad={chi!r}" if alpha is None else f"alpha_rad={alpha!r}, chi_rad={chi!r}"
     return ValueError(f"intensities are not finite at {where}")
 
 
@@ -317,9 +315,9 @@ def count_rate(intensity_norm, scale_ref_cps: float):
     """Count rate of a normalized intensity (a float or an array).
 
     ``intensity_norm / I_REF_NORM * scale_ref_cps``, so the empty beamline
-    reads exactly ``scale_ref_cps`` at O_SELECTED, a subnormal scale
-    included.  Raises ValueError when the scale is not positive or a rate
-    is not finite (a scale near the float maximum overflows).
+    reads exactly ``scale_ref_cps`` at O_SELECTED, subnormal scales included;
+    a rate that overflows in that order is scaled first.  Raises ValueError
+    when the scale is not positive or a rate is not finite either way.
     """
     scale = _require_real("scale_ref_cps", scale_ref_cps, "be positive")
     return _count_rate(intensity_norm, scale)
@@ -329,11 +327,15 @@ def _count_rate(intensity_norm, scale: float):
     """:func:`count_rate` of a scale already checked."""
     if type(intensity_norm) is float:  # run's scalar route: no numpy call
         rate = intensity_norm / I_REF_NORM * scale
+        if not math.isfinite(rate):
+            rate = intensity_norm * scale / I_REF_NORM
         if math.isfinite(rate):
             return rate
     else:
         with np.errstate(over="ignore", invalid="ignore"):
             rate = intensity_norm / I_REF_NORM * scale
+            if not np.isfinite(rate).all():
+                rate = np.where(np.isfinite(rate), rate, intensity_norm * scale / I_REF_NORM)[()]
         if np.isfinite(rate).all():
             return rate
     raise ValueError(f"count rates are not finite at scale_ref_cps={scale!r}")

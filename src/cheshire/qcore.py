@@ -112,11 +112,10 @@ def _require_member(name: str, value, kind: type):
     raise TypeError(f"{name} must be a {kind.__name__}, got {value!r}")
 
 
-# The real transverse-minus spin state |x-> = (|up> - |down>)/sqrt(2), and
-# |x+> = (|up> + |down>)/sqrt(2) beside it.  With sigma_z = diag(1, -1) this
-# fixes sigma_z |x+-> = |x-+> with a plus sign; any intensity is unaffected
-# by that sign choice, but signed cross products (weak values of sigma_z
-# conditioned on a path) inherit it.
+# The real transverse-minus spin state |x-> = (|up> - |down>)/sqrt(2).  With
+# sigma_z = diag(1, -1) this fixes sigma_z |x-> = |x+> with a plus sign; any
+# intensity is unaffected by that sign choice, but signed cross products
+# (weak values of sigma_z conditioned on a path) inherit it.
 SX_MINUS = np.array([1.0, -1.0], dtype=complex) / np.sqrt(2.0)
 
 ID2 = np.eye(2, dtype=complex)

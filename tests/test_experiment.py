@@ -301,6 +301,15 @@ class TestCountRate:
         with pytest.raises(ValueError, match="scale_ref_cps=1.79e"):
             count_rate(norm, 1.79e308)
 
+    @pytest.mark.parametrize(
+        "norm", [1e308, np.float64(1e308), np.array([1e308, 0.25])], ids=["float", "float64", "array"]
+    )
+    def test_a_norm_that_overflows_before_a_small_scale_is_scaled_first(self, norm):
+        # 1e308 / 0.25 overflows; 1e308 * 0.1 / 0.25 does not
+        rate = count_rate(norm, 0.1)
+        assert np.shape(rate) == np.shape(norm) and type(rate) is type(norm)
+        assert np.ravel(rate).tolist() == [1e308 * 0.1 / 0.25, 0.1][: np.size(norm)]
+
     def test_run_and_sweeps_refuse_an_overflowing_rate(self):
         # O_unselected of the empty beamline is 1/2, twice the reference
         with pytest.raises(ValueError, match="scale_ref_cps"):
