@@ -53,10 +53,6 @@ class Truncation(Enum):
     QUADRATIC = "quadratic"
 
 
-def _other(path: Path) -> Path:
-    return Path.II if path is Path.I else Path.I
-
-
 def spin_rotation_matrix(alpha_rad: float, truncation: Truncation = Truncation.EXACT) -> np.ndarray:
     """2x2 spin-rotation matrix about z by ``alpha_rad``.
 
@@ -83,7 +79,7 @@ def magnetic_rotation(
     """Spin rotation applied on one path, identity on the other."""
     _require_member("path", path, Path)
     rot = spin_rotation_matrix(alpha_rad, truncation)
-    return tensor(rot, path_projector(path)) + tensor(ID2, path_projector(_other(path)))
+    return tensor(rot, path_projector(path)) + tensor(ID2, ID2 - path_projector(path))
 
 
 def phase_shifter(chi_rad: float) -> JointOperator:

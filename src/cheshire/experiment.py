@@ -268,7 +268,9 @@ def _port_norm(up: complex, down: complex) -> float:
 
 def _not_finite(chi: float, alpha: float | None) -> ValueError:
     """The error for a non-finite reading, naming its angles."""
-    where = f"chi_rad={chi!r}" if alpha is None else f"alpha_rad={alpha!r}, chi_rad={chi!r}"
+    where = f"chi_rad={chi!r}"
+    if alpha is not None:
+        where = f"alpha_rad={alpha!r}, {where}"
     return ValueError(f"intensities are not finite at {where}")
 
 
