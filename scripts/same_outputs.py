@@ -20,8 +20,12 @@ error, a renamed flag) do not pass as identical.  Exit status 0 means every
 output is identical and every run succeeded, 1 that some output differs or
 some run failed (each is shown), 2 that BASE is not a commit.  The exported
 tree is removed on exit.  A change that alters an output on purpose fails this
-check against its parent, so that comparison is run by hand.  CI runs it with
-BASE = HEAD, where the two trees are the same: it then fails only when the
+check against its parent, so that comparison is run by hand.
+
+When BASE is HEAD and the working tree equals it (no edit to a tracked file,
+no untracked file that git does not ignore), the two trees would be the same:
+the list and the acceptance suite then run once, in this tree, and only their
+exit statuses are checked.  CI runs it so, where it fails only when the
 script itself has rotted or a listed command no longer exits as expected.
 Standard library only.
 """
@@ -146,6 +150,19 @@ def export(revision: str, into: Path) -> None:
         tar.extractall(into, **safe)
 
 
+def is_working_tree(root: Path, commit: str) -> bool:
+    """Whether the working tree at ``root`` is ``commit`` itself: HEAD, unedited, nothing untracked."""
+
+    def git(*args: str) -> subprocess.CompletedProcess:
+        return subprocess.run(["git", "-C", str(root), *args], capture_output=True, text=True)
+
+    return (
+        git("rev-parse", "--verify", "HEAD").stdout.strip() == commit
+        and git("diff", "--quiet", commit, "--").returncode == 0
+        and git("ls-files", "--others", "--exclude-standard").stdout == ""
+    )
+
+
 def show(label: str, before: bytes, after: bytes) -> None:
     print(f"DIFFERS  {label}")
     diff = difflib.unified_diff(
@@ -173,11 +190,17 @@ def main(argv: list[str]) -> int:
         print(f"error: {base!r} is not a commit", file=sys.stderr)
         return 2
 
+    commit = resolved.stdout.strip()
+    one_tree = is_working_tree(ROOT, commit)
     with tempfile.TemporaryDirectory(prefix="same_outputs_") as tmp:
         scratch = Path(tmp)
-        export(resolved.stdout.strip(), scratch / "base")
-        before = outputs(scratch / "base", scratch / "base_out")
         after = outputs(ROOT, scratch / "tree_out")
+        if one_tree:
+            print(f"this tree is {base} itself: each run once, its exit status checked")
+            before = after
+        else:
+            export(commit, scratch / "base")
+            before = outputs(scratch / "base", scratch / "base_out")
 
     differing = [label for label in before if before[label] != after[label]]
     for label in differing:
@@ -191,7 +214,10 @@ def main(argv: list[str]) -> int:
                 failed.append(run)
                 print(f"FAILED   {run}: exit status {before[label].decode()} at {base}, "
                       f"{after[label].decode()} in this tree, want {want.decode()}")
-    print(f"{len(before) - len(differing)} of {len(before)} outputs identical to {base}")
+    if one_tree:
+        print(f"{sum(label.endswith(EXIT_STATUS) for label in after)} runs, each once, on {base} itself")
+    else:
+        print(f"{len(before) - len(differing)} of {len(before)} outputs identical to {base}")
     if failed:
         print(f"{len(failed)} runs exited non-zero")
     return 1 if differing or failed else 0

@@ -16,13 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elements import Truncation
 from .experiment import (
     DEFAULT_SCALE_REF_CPS,
     I_REF_NORM,
+    _ROTATION,
     Magnet,
     Scenario,
-    _factor,
     _readout,
     _readout_one,
     closed_form_o,
@@ -74,32 +73,31 @@ def fit_loglog_slope(x_values, errors, floor: float = ERROR_FLOOR) -> float:
 def _slope(log_x: np.ndarray, err: np.ndarray, floor: float) -> float:
     """:func:`fit_loglog_slope` on checked inputs, given log(x) rather than x."""
     keep = err > floor
-    if int(keep.sum()) < 2:
+    if np.count_nonzero(keep) < 2:
         raise ValueError("fewer than two points above the numerical error floor; cannot fit")
     log_x = log_x[keep]
     # Tested on the logs themselves: the mean of equal values can round off them.
     if (log_x == log_x[0]).all():
         raise ValueError("the points above the numerical error floor share one x value; cannot fit")
     log_err = np.log(err[keep])
-    dx = log_x - log_x.mean()
-    return float(dx @ (log_err - log_err.mean()) / (dx @ dx))
+    # each mean as ndarray.mean takes it (one add.reduce, one division), minus its Python wrapper
+    dx = log_x - log_x.sum() / log_x.size
+    return float(dx @ (log_err - log_err.sum() / log_err.size) / (dx @ dx))
 
 
 def _o_selected_by_truncation(path: Path, alpha: np.ndarray) -> np.ndarray:
     """O_SELECTED at chi = 0 behind a magnet on ``path``: one row per truncation, one pass.
 
-    The rotations stack in :class:`Truncation` order, so an overflow names the
-    first bad linear angle before any quadratic one, as one run_batch call per
-    truncation would; the exact rotation never overflows.
+    The rows of ``_ROTATION`` stack in ``Truncation`` order, so an overflow
+    names the first bad linear angle before any quadratic one, as one run_batch
+    call per truncation would; the exact rotation never overflows.
     """
-    c, s = np.empty((2, len(Truncation), alpha.size))
+    c, s = np.empty((2, len(_ROTATION), alpha.size))
     with np.errstate(over="ignore", invalid="ignore"):
-        for row, truncation in enumerate(Truncation):
-            _, c[row], s[row] = _factor(Magnet(path, 0.0, truncation), alpha)
-        readings = _readout(
-            np.zeros(c.size), path, c.ravel(), s.ravel(), np.tile(alpha, len(Truncation))
-        )
-    return readings[:, 0].reshape(len(Truncation), alpha.size)
+        for row, rotation in enumerate(_ROTATION.values()):
+            c[row], s[row] = rotation(alpha)
+        readings = _readout(np.zeros(c.size), path, c.ravel(), s.ravel(), np.tile(alpha, len(c)))
+    return readings[:, 0].reshape(c.shape)
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,21 +156,18 @@ def cheshire_witness(alpha_rad: float) -> CheshireDeficits:
     The linear deficit is identically zero, and exactly 0.0 in floating
     point: the readout scales by powers of two only.  The quadratic and
     exact deficits both equal I_ref * alpha^2/4 to leading order, so their
-    ratio tends to one as alpha tends to zero.  Each truncation is one
-    scenario read out in Python scalars, as :func:`~cheshire.experiment.run`
-    reads it; the bits are those of the last point of a
-    :func:`truncation_scan` whose grid ends at ``alpha_rad``.
+    ratio tends to one as alpha tends to zero.  Each row of ``_ROTATION``
+    at ``alpha_rad`` is read out in Python scalars by the kernel
+    :func:`~cheshire.experiment.run` uses; the bits are those of the last
+    point of a :func:`truncation_scan` whose grid ends at ``alpha_rad``.
     """
     alpha = _require_real("alpha_rad", alpha_rad, "be positive")
     exact, linear, quadratic = (
-        I_REF_NORM - _readout_one(Scenario(Magnet(Path.II, alpha, truncation)))[0]
-        for truncation in Truncation
+        I_REF_NORM - _readout_one(0.0, Path.II, *rotation(alpha), alpha)[0]
+        for rotation in _ROTATION.values()
     )
     return CheshireDeficits(
-        alpha_rad=alpha,
-        deficit_linear=linear,
-        deficit_quadratic=quadratic,
-        deficit_exact=exact,
+        alpha_rad=alpha, deficit_linear=linear, deficit_quadratic=quadratic, deficit_exact=exact
     )
 
 

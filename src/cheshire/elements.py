@@ -109,7 +109,7 @@ def recombine(state: JointState) -> tuple[np.ndarray, np.ndarray]:
     the ordinary port O (sum) and the complementary port H (difference).
     The map conserves the squared norm exactly.
     """
-    amp_i, amp_ii = state.amp[:2], state.amp[2:]
+    amp_i, amp_ii = _require_member("state", state, JointState).amp.reshape(2, 2)
     amp_o = (amp_i + amp_ii) / np.sqrt(2.0)
     amp_h = (amp_i - amp_ii) / np.sqrt(2.0)
     return amp_o, amp_h

@@ -22,18 +22,18 @@ the insertion multiplies one path's spin diagonal by c + i s sigma_z, the
 phase is a per-path scalar, and the recombiner plus spin filter one fixed
 contraction whose 1/sqrt(2) factors are folded into exact powers of two.
 One map, ``_factor``, gives every insertion as ``(path, c, s)``: an
-absorber is (sqrt(T), 0), a magnet its truncation's (c, s) of
-``_ROTATION``, and no insertion the identity (1, 0).  The sweeps are one
-call each; the truncation scan of :mod:`cheshire.analysis` stacks its
-three rotations' (c, s) into one pass of the same kernel.  :func:`run`,
-always one point, reads its scenario out in Python scalars instead, with
-the same bits as the kernel's row: a real factor is a Python product, the
-one general complex product (an amplitude times a rotation's ``c ± i s``)
-goes through ``np.multiply``, whose loop may fuse a multiply-add, and each
-port sums its squares in numpy's order.  The witness of
-:mod:`cheshire.analysis`, one angle, reads its three truncations through
-that scalar route.  The canonical weak values are contracted once from
-the same ``(path, spin)`` constants.
+absorber is (sqrt(T), 0), a magnet its truncation's row of ``_ROTATION``,
+and no insertion the identity (1, 0).  The sweeps are one call each.
+:func:`run`, always one point, reads its scenario out in Python scalars
+instead, with the kernel's arguments and the same bits as its row: a real
+factor is a Python product, the one general complex product (an amplitude
+times a rotation's ``c ± i s``) goes through ``np.multiply``, whose loop
+may fuse a multiply-add, and each port sums its squares in numpy's order.
+The truncation scan and the witness of :mod:`cheshire.analysis` take the
+rows of ``_ROTATION`` directly, with no scenario built: the scan stacks
+all three over its grid into one pass of the array kernel, and the
+witness reads each at its one angle through the scalar one.  The canonical
+weak values are contracted once from the same ``(path, spin)`` constants.
 The 4x4 joint algebra of :mod:`cheshire.qcore` and
 :mod:`cheshire.elements` is not on either route; it serves
 :func:`cheshire.weak.weak_value` for arbitrary operators and is the
@@ -227,8 +227,8 @@ def _readout(chi: np.ndarray, path: Path, c, s, alpha: np.ndarray | None) -> np.
     return readings
 
 
-def _readout_one(scenario: Scenario) -> tuple[float, float, float]:
-    """One row of :func:`_readout` in Python scalars, bit for bit.
+def _readout_one(chi: float, path: Path, c, s, alpha: float | None) -> tuple[float, float, float]:
+    """One row of :func:`_readout` in Python scalars, bit for bit, from that row's arguments.
 
     The four amplitudes are Python complex numbers.  Sums, differences,
     real scalings and powers of two round alike here and in the array
@@ -237,8 +237,7 @@ def _readout_one(scenario: Scenario) -> tuple[float, float, float]:
     loop may fuse a multiply-add that Python's ``*`` does not, and each port
     sums its squares in numpy's order (see :func:`_port_norm`).
     """
-    path, c, s = _factor(scenario.insertion)
-    half = scenario.chi_rad / 2.0
+    half = chi / 2.0
     re, im = 0.5 * math.cos(half), 0.5 * math.sin(half)
     # amp[path][spin] of the prepared state behind the phase shifter
     amp = [[complex(re, -im), complex(re, -im)], [complex(re, im), complex(-re, -im)]]
@@ -251,14 +250,12 @@ def _readout_one(scenario: Scenario) -> tuple[float, float, float]:
 
     (i_up, i_down), (ii_up, ii_down) = amp
     o_up, o_down = i_up + ii_up, i_down + ii_down
-    readings = (
-        _port_norm(o_up - o_down, 0j) * 0.25,
-        _port_norm(o_up, o_down) * 0.5,
-        _port_norm(i_up - ii_up, i_down - ii_down) * 0.5,
-    )
-    if not all(map(math.isfinite, readings)):
-        raise _not_finite(scenario.chi_rad, getattr(scenario.insertion, "alpha_rad", None))
-    return readings
+    o_selected = _port_norm(o_up - o_down, 0j) * 0.25
+    o_unselected = _port_norm(o_up, o_down) * 0.5
+    h = _port_norm(i_up - ii_up, i_down - ii_down) * 0.5
+    if not (math.isfinite(o_selected) and math.isfinite(o_unselected) and math.isfinite(h)):
+        raise _not_finite(chi, alpha)
+    return o_selected, o_unselected, h
 
 
 def _port_norm(up: complex, down: complex) -> float:
@@ -357,9 +354,12 @@ def run(
 ) -> dict[Detector, IntensityRecord]:
     """Simulate one scenario and return one record per detector (see :func:`count_rate`)."""
     scale = _require_real("scale_ref_cps", scale_ref_cps, "be positive")
+    ins = scenario.insertion
+    path, c, s = _factor(ins)
+    readings = _readout_one(scenario.chi_rad, path, c, s, getattr(ins, "alpha_rad", None))
     return {
         det: IntensityRecord(scenario, det, norm, _count_rate(norm, scale), scale)
-        for det, norm in zip(_DETECTORS, _readout_one(scenario))
+        for det, norm in zip(_DETECTORS, readings)
     }
 
 

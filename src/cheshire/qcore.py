@@ -201,27 +201,32 @@ def identity() -> JointOperator:
 
 def apply(op: JointOperator, state: JointState) -> JointState:
     """Apply an operator to a state, returning a new state."""
-    return JointState(op.matrix @ state.amp)
+    matrix = _require_member("op", op, JointOperator).matrix
+    return JointState(matrix @ _require_member("state", state, JointState).amp)
 
 
 def inner(bra: JointState, ket: JointState) -> complex:
     """Inner product <bra|ket>, conjugate-linear in the first argument."""
+    bra, ket = _require_member("bra", bra, JointState), _require_member("ket", ket, JointState)
     return complex(np.vdot(bra.amp, ket.amp))
 
 
 def norm2(state: JointState) -> float:
     """Squared norm, i.e. the total detectable intensity."""
-    return float(np.vdot(state.amp, state.amp).real)
+    amp = _require_member("state", state, JointState).amp
+    return float(np.vdot(amp, amp).real)
 
 
 def dagger(op: JointOperator) -> JointOperator:
-    return JointOperator(op.matrix.conj().T)
+    return JointOperator(_require_member("op", op, JointOperator).matrix.conj().T)
 
 
 def compose(a: JointOperator, b: JointOperator) -> JointOperator:
     """Matrix product a @ b (apply ``b`` first, then ``a``)."""
+    a, b = _require_member("a", a, JointOperator), _require_member("b", b, JointOperator)
     return JointOperator(a.matrix @ b.matrix)
 
 
 def is_unitary(op: JointOperator, tol: float = 1e-12) -> bool:
-    return bool(np.max(np.abs(op.matrix @ op.matrix.conj().T - np.eye(4))) <= tol)
+    matrix = _require_member("op", op, JointOperator).matrix
+    return bool(np.max(np.abs(matrix @ matrix.conj().T - np.eye(4))) <= tol)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from cheshire.analysis import (
+    ERROR_FLOOR,
     PUBLISHED_BENCHMARKS,
     cheshire_witness,
     duration_for_rate_sigma,
@@ -109,6 +110,32 @@ class TestTruncationScan:
         expected = np.polyfit(np.log(x), np.log(errors), 1)[0]
         assert abs(fit_loglog_slope(x, errors, floor=0.0) - expected) <= 1e-12 * max(1.0, abs(expected))
 
+    # the fit takes each mean as a sum over a count; it must give the bits
+    # of the np.mean formula, on grids where some errors sit at or under the floor too
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.floats(1e-6, 1e6),
+                st.one_of(
+                    st.floats(1e-13, 1e3, exclude_min=True),
+                    st.floats(0.0, 1e-13),
+                    st.sampled_from([0.0, 1e-13]),
+                ),
+            ),
+            min_size=2,
+            max_size=60,
+        )
+    )
+    def test_fit_is_the_mean_formula_bit_for_bit(self, points):
+        x, errors = np.array(points).T
+        keep = errors > ERROR_FLOOR
+        assume(keep.sum() >= 2 and np.unique(x[keep]).size >= 2)
+        log_x, log_err = np.log(x[keep]), np.log(errors[keep])
+        dx = log_x - np.mean(log_x)
+        want = float(dx @ (log_err - np.mean(log_err)) / (dx @ dx))
+        assert np.array_equal(bits(fit_loglog_slope(x, errors)), bits(want))
+
 
 def per_truncation_readings(path, alpha_grid):
     """O_SELECTED at chi = 0 by one run_batch call per truncation, exact first."""
@@ -197,6 +224,16 @@ class TestOnePassScan:
         with pytest.raises(ValueError) as one_pass:
             cheshire_witness(1e200)
         assert str(one_pass.value) == str(per_truncation.value)
+
+    def test_scan_and_witness_build_no_scenario(self, monkeypatch):
+        def refuse(obj):
+            raise AssertionError(f"built a {type(obj).__name__}")
+
+        monkeypatch.setattr(Magnet, "__post_init__", refuse)
+        monkeypatch.setattr(Scenario, "__post_init__", refuse)
+        for path in Path:
+            truncation_scan(path, GRID)
+        cheshire_witness(0.3)
 
 
 class TestCheshireWitness:

@@ -32,6 +32,7 @@ from cheshire.elements import (
     absorber,
     magnetic_rotation,
     phase_shifter,
+    recombine,
     spin_rotation_matrix,
 )
 from cheshire.experiment import (
@@ -53,6 +54,13 @@ from cheshire.qcore import (
     Path,
     _require_grid,
     _require_real,
+    apply,
+    compose,
+    dagger,
+    identity,
+    inner,
+    is_unitary,
+    norm2,
     path_projector,
     spin_on_path,
 )
@@ -145,6 +153,16 @@ OBJECTS = [
      lambda v: weak_value(path_projector_operator(Path.I), initial_state(), v)),
     ("weakvalue_intensity", "weak_values", WeakValueSet,
      lambda v: weakvalue_intensity(0.1, Path.I, v, 0.25)),
+    ("apply", "op", JointOperator, lambda v: apply(v, initial_state())),
+    ("apply", "state", JointState, lambda v: apply(identity(), v)),
+    ("inner", "bra", JointState, lambda v: inner(v, initial_state())),
+    ("inner", "ket", JointState, lambda v: inner(initial_state(), v)),
+    ("norm2", "state", JointState, norm2),
+    ("dagger", "op", JointOperator, dagger),
+    ("compose", "a", JointOperator, lambda v: compose(v, identity())),
+    ("compose", "b", JointOperator, lambda v: compose(identity(), v)),
+    ("is_unitary", "op", JointOperator, is_unitary),
+    ("recombine", "state", JointState, recombine),
 ]
 
 TRUNCATIONS = [
