@@ -14,8 +14,9 @@ output, with a trailing `` in N.NNs`` cut from each line: criteria 03 and 09
 print their own wall time, and pytest its own.
 
 Every listed command and the acceptance run must also exit 0 in both trees
-(``reproduce --scale-ref-cps 20`` 2, the code of a theory/data disagreement);
-a run that does not is named, so that two trees that fail alike (an import
+(``reproduce --scale-ref-cps 20`` 2, the code of a theory/data disagreement,
+and each bad-input command 1, the code of its ``error:`` line); a run that
+does not is named, so that two trees that fail alike (an import
 error, a renamed flag) do not pass as identical.  Exit status 0 means every
 output is identical and every run succeeded, 1 that some output differs or
 some run failed (each is shown), 2 that BASE is not a commit.  The exported
@@ -67,11 +68,25 @@ CONFIGS = {
 # A trailing wall time, as in "(want 4±0.2) in 0.01s" or "10 passed in 0.42s".
 WALL_TIME = re.compile(rb" in \d+\.\d+s$", re.MULTILINE)
 
+# Commands with bad input, each refused with one error line: a value, a
+# missing or stray field, a grid bound, an unreadable config file.
+BAD_INPUT = [
+    ["run", "--chi-rad", "nan"],
+    ["run", "--insertion", "magnet", "--path", "II"],
+    ["sweep", "--vary", "chi", "--points", "1"],
+    ["analyze", "--path", "I", "--alpha-min", "-1e-3"],
+    ["run", "--config", "missing.cfg"],
+    ["sweep", "--vary", "alpha", "--insertion", "absorber", "--path", "I", "--transmissivity", "0.5"],
+]
+
 # The label suffix of each run's exit status, and the runs whose status in
 # both trees must be other than 0: at a 20 cps reference rate the theory
-# disagrees with the published rates, so reproduce exits 2.
+# disagrees with the published rates, so reproduce exits 2; bad input exits 1.
 EXIT_STATUS = ": exit status"
-EXPECTED_STATUS = {"cheshire reproduce --scale-ref-cps 20": b"2"}
+EXPECTED_STATUS = {
+    "cheshire reproduce --scale-ref-cps 20": b"2",
+    **{" ".join(["cheshire", *argv]): b"1" for argv in BAD_INPUT},
+}
 
 # Lines of a unified diff shown per differing output.
 DIFF_LINES = 20
@@ -100,6 +115,7 @@ def commands() -> list[tuple[list[str], str | None]]:
         (["sweep", "--config", "magnet.cfg", "--vary", "alpha", "--points", "25",
           "--csv", "sweep_config.csv"], "sweep_config.csv"),
     ]
+    runs += [(argv, None) for argv in BAD_INPUT]
     return runs
 
 

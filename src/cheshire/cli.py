@@ -17,6 +17,7 @@ import functools
 import math
 import os
 import re
+import stat
 import sys
 from collections.abc import Iterable, Iterator
 from dataclasses import astuple
@@ -40,12 +41,7 @@ from .experiment import (
 from .qcore import Path, _require_real
 from .weak import exact_weak_values, projective_spin_expectation
 
-__all__ = [
-    "CliError",
-    "parse_scenario_config",
-    "format_scenario_config",
-    "main",
-]
+__all__ = ["parse_scenario_config", "format_scenario_config", "main"]
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -58,10 +54,6 @@ MAX_POINTS = 100_000
 
 # sweep --vary -> the (start, stop, points) of its grid when not given.
 _SWEEP_GRID = {"chi": (0.0, 2.0 * math.pi, 361), "alpha": (0.01, 0.3, 50)}
-
-
-class CliError(Exception):
-    """Usage or configuration error; mapped to exit code 1."""
 
 
 # Insertion -> the class it builds.  The class's fields are the optional
@@ -209,7 +201,7 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = _NEGATIVE_NUMBER
 
     def error(self, message: str):  # noqa: D102 - argparse hook
-        raise CliError(message)
+        raise ValueError(message)
 
 
 def _add_scenario_args(sub: argparse.ArgumentParser) -> None:
@@ -220,11 +212,17 @@ def _add_scenario_args(sub: argparse.ArgumentParser) -> None:
 
 
 def _csv_path(text: str) -> str:
-    """The --csv value: a file name (not '', '.', a root or a directory) in a directory that exists."""
+    """The --csv value: the name of a new or a regular file, in a directory that exists."""
     if not FilePath(text).name:
         raise argparse.ArgumentTypeError(f"{text!r} names no file")
-    if text.endswith(("/", os.sep)) or os.path.isdir(text):
+    try:
+        mode = os.stat(text).st_mode
+    except (FileNotFoundError, NotADirectoryError):  # a new file, if its directory exists
+        mode = stat.S_IFREG
+    if text.endswith(("/", os.sep)) or stat.S_ISDIR(mode):
         raise argparse.ArgumentTypeError(f"{text!r} names a directory")
+    if not stat.S_ISREG(mode):  # a FIFO or a device would be replaced, not written
+        raise argparse.ArgumentTypeError(f"{text!r} names no regular file")
     parent = os.path.dirname(text) or os.curdir
     if not os.path.isdir(parent):
         # The error the write would raise, raised before any work; main prints it.
@@ -243,8 +241,8 @@ def _merged_config(args: argparse.Namespace, fill: dict | None = None) -> tuple[
     if args.config is not None:
         try:
             text = FilePath(args.config).read_text(encoding="utf-8")
-        except OSError as exc:
-            raise CliError(f"cannot read config file: {exc}") from None
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ValueError(f"cannot read config file: {exc}") from None
         fields = _file_fields(text)
     flags = {key: getattr(args, key) for key in _KEYS if getattr(args, key) is not None}
     fields.update(_fields(flags, spell=_flag))
@@ -307,7 +305,8 @@ def _write_csv(path_text: str | None, lines: Iterable[str]) -> None:
         sys.stdout.writelines(f"{line}\n" for line in lines)
         return
     # Stream into a sibling file renamed over the target: a failed write keeps the old CSV.
-    target = FilePath(path_text)
+    # A symlink is written through: the file it points to is the target.
+    target = FilePath(os.path.realpath(path_text) if os.path.islink(path_text) else path_text)
     partial = target.with_name(f".{target.name}.{os.getpid()}.tmp")
     try:
         with open(partial, "w", encoding="utf-8", newline="") as handle:
@@ -343,16 +342,16 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     start, stop, points = (d if v is None else v for v, d in zip(given, _SWEEP_GRID[args.vary]))
 
     if not 2 <= points <= MAX_POINTS:
-        raise CliError(f"--points must be between 2 and {MAX_POINTS}")
-    if not (math.isfinite(start) and math.isfinite(stop) and start < stop):
-        raise CliError("--start must be less than --stop")
+        raise ValueError(f"--points must be between 2 and {MAX_POINTS}")
+    if not (start < stop and math.isfinite(stop - start)):
+        raise ValueError("need --start < --stop, a finite distance apart")
 
     if args.vary == "chi":
         grid = np.linspace(start, stop, points)
         readings = run_batch(template, chi_rad=grid)
     else:
         if start <= 0.0:
-            raise CliError("alpha sweeps need --start > 0 (log-spaced grid)")
+            raise ValueError("alpha sweeps need --start > 0 (log-spaced grid)")
         grid = np.geomspace(start, stop, points)
         readings = run_batch(template, alpha_rad=grid)
 
@@ -397,9 +396,9 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
 def cmd_analyze(args: argparse.Namespace) -> int:
     path = Path[args.path]
     if not 10 <= args.points <= MAX_POINTS:
-        raise CliError(f"--points must be between 10 and {MAX_POINTS}")
+        raise ValueError(f"--points must be between 10 and {MAX_POINTS}")
     if not (0.0 < args.alpha_min < args.alpha_max < math.inf):
-        raise CliError("need 0 < --alpha-min < --alpha-max")
+        raise ValueError("need 0 < --alpha-min < --alpha-max")
     grid = np.geomspace(args.alpha_min, args.alpha_max, args.points)
     report = truncation_scan(path, grid)
 
@@ -480,7 +479,7 @@ def main(argv: list[str] | None = None) -> int:
         # devnull so that the flush at interpreter exit does not raise too.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_BROKEN_PIPE
-    except (CliError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

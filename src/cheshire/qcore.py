@@ -8,9 +8,10 @@ basis:
     index 2: (spin-z up,   path II)
     index 3: (spin-z down, path II)
 
-Path is the Kronecker-major factor and spin the minor one.  ``tensor`` is
-the only place that ordering is spelled out, so every module that builds
-joint operators through it agrees by construction.
+Path is the Kronecker-major factor and spin the minor one: index
+``2 * path + spin`` is entry ``[path, spin]`` of a (2, 2) array.  ``tensor``
+spells that order out for operators, and ``elements.recombine`` and
+``experiment.initial_state``/``postselection_state`` for states, by reshape.
 
 All objects are immutable after construction and all operations are pure.
 """

@@ -230,6 +230,15 @@ class TestConfigFile:
         assert code == 1
         assert "config" in err
 
+    def test_config_file_not_in_utf8_exits_1_with_the_prefix(self, capsys, tmp_path):
+        # a UnicodeDecodeError is a ValueError, not an OSError
+        cfg = tmp_path / "scenario.cfg"
+        cfg.write_bytes(b"\xffinsertion = none\n")
+        assert run_cli(capsys, "run", "--config", str(cfg)) == (
+            1, "", "error: cannot read config file: 'utf-8' codec can't decode byte 0xff "
+            "in position 0: invalid start byte\n"
+        )
+
     def test_round_trip_is_semantically_stable(self):
         parsed = parse_scenario_config(self.CONFIG)
         again = parse_scenario_config(format_scenario_config(*parsed))
@@ -818,6 +827,66 @@ class TestInputChecks:
             csv = str(tmp_path / parent / "x.csv")
             assert run_cli(capsys, *argv, "--csv", csv) == (1, "", f"error: {reason}: {csv!r}\n")
         assert [f.name for f in tmp_path.iterdir()] == ["file"]
+
+
+class TestSweepBounds:
+    ERR = "error: need --start < --stop, a finite distance apart\n"
+
+    @pytest.mark.parametrize(
+        "start, stop",
+        [("2", "1"), ("1", "1"), ("nan", "1"), ("0", "nan"), ("0", "inf"), ("-inf", "0"),
+         ("-1e308", "1e308")],
+    )
+    @pytest.mark.parametrize("vary", ["chi", "alpha"])
+    def test_one_condition_one_message(self, capsys, vary, start, stop):
+        argv = ["sweep", "--vary", vary, "--insertion", "magnet", "--path", "I", "--alpha-deg", "20"]
+        assert run_cli(capsys, *argv, f"--start={start}", f"--stop={stop}") == (1, "", self.ERR)
+
+    def test_bounds_a_finite_distance_apart_are_a_grid(self, capsys):
+        code, out, err = run_cli(capsys, "sweep", "--vary", "chi", "--start", "-8e307", "--stop", "8e307",
+                                 "--points", "3")
+        assert (code, err) == (0, "")
+        assert out.count("\n") == 1 + 3 * 3
+
+    def test_overflowing_distance_is_one_error_line_without_warnings(self):
+        # np.linspace used to warn twice and the scenario check then named a nan
+        code, out, err = _fresh_process("sweep", "--vary", "chi", "--start", "-1e308", "--stop", "1e308")
+        assert (code, out, err) == (1, "", self.ERR)
+
+
+class TestCsvTarget:
+    ARGS = ["sweep", "--vary", "chi", "--points", "5"]
+
+    def test_symlink_is_written_through(self, capsys, tmp_path):
+        real = tmp_path / "real.csv"
+        real.write_bytes(b"old contents\n")
+        link = tmp_path / "link.csv"
+        link.symlink_to(real.name)
+        code, stdout_csv, _ = run_cli(capsys, *self.ARGS)
+        assert code == 0
+        assert run_cli(capsys, *self.ARGS, "--csv", str(link)) == (0, f"wrote 15 rows to {link}\n", "")
+        assert link.is_symlink() and os.readlink(link) == real.name
+        assert real.read_bytes() == stdout_csv.encode("utf-8")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv", "real.csv"]
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+    @pytest.mark.parametrize("argv", [ARGS, ["analyze", "--path", "I"]])
+    def test_fifo_is_refused_before_any_work(self, capsys, tmp_path, argv):
+        fifo = tmp_path / "fifo.csv"
+        os.mkfifo(fifo)
+        assert run_cli(capsys, *argv, "--csv", str(fifo)) == (
+            1, "", f"error: argument --csv: {str(fifo)!r} names no regular file\n"
+        )
+        assert fifo.is_fifo()
+        assert [p.name for p in tmp_path.iterdir()] == ["fifo.csv"]
+
+    def test_symlink_loop_is_refused_before_any_work(self, capsys, tmp_path):
+        loop = tmp_path / "loop.csv"
+        loop.symlink_to(loop.name)
+        code, out, err = run_cli(capsys, "analyze", "--path", "I", "--csv", str(loop))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: [Errno ") and err.endswith(f": {str(loop)!r}\n")
+        assert loop.is_symlink()
 
 
 class TestAlphaSweepWithoutAngle:
