@@ -69,7 +69,9 @@ CONFIGS = {
 WALL_TIME = re.compile(rb" in \d+\.\d+s$", re.MULTILINE)
 
 # Commands with bad input, each refused with one error line: a value, a
-# missing or stray field, a grid bound, an unreadable config file.
+# missing or stray field, a grid bound, an unreadable config file, and on
+# both parse routes (the top-level parser's and a subcommand's own) a
+# missing or unknown command and an unknown flag.
 BAD_INPUT = [
     ["run", "--chi-rad", "nan"],
     ["run", "--insertion", "magnet", "--path", "II"],
@@ -77,6 +79,9 @@ BAD_INPUT = [
     ["analyze", "--path", "I", "--alpha-min", "-1e-3"],
     ["run", "--config", "missing.cfg"],
     ["sweep", "--vary", "alpha", "--insertion", "absorber", "--path", "I", "--transmissivity", "0.5"],
+    [],
+    ["bogus"],
+    ["sweep", "--vary", "chi", "--bogus"],
 ]
 
 # The label suffix of each run's exit status, and the runs whose status in

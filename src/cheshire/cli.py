@@ -211,24 +211,28 @@ def _add_scenario_args(sub: argparse.ArgumentParser) -> None:
         sub.add_argument(_flag(key), metavar=metavar)
 
 
-def _csv_path(text: str) -> str:
-    """The --csv value: the name of a new or a regular file, in a directory that exists."""
+def _csv_path(text: str) -> tuple[str, str]:
+    """The --csv value and the file it names (a symlink's target): new or regular, in a directory that exists."""
     if not FilePath(text).name:
         raise argparse.ArgumentTypeError(f"{text!r} names no file")
+    target = text
     try:
-        mode = os.stat(text).st_mode
+        mode = os.lstat(text).st_mode
+        if stat.S_ISLNK(mode):
+            target = os.path.realpath(text)
+            mode = os.stat(text).st_mode
     except (FileNotFoundError, NotADirectoryError):  # a new file, if its directory exists
         mode = stat.S_IFREG
     if text.endswith(("/", os.sep)) or stat.S_ISDIR(mode):
         raise argparse.ArgumentTypeError(f"{text!r} names a directory")
     if not stat.S_ISREG(mode):  # a FIFO or a device would be replaced, not written
         raise argparse.ArgumentTypeError(f"{text!r} names no regular file")
-    parent = os.path.dirname(text) or os.curdir
+    parent = os.path.dirname(target) or os.curdir
     if not os.path.isdir(parent):
         # The error the write would raise, raised before any work; main prints it.
         code = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
         raise OSError(code, os.strerror(code), text)
-    return text
+    return text, target
 
 
 def _merged_config(args: argparse.Namespace, fill: dict | None = None) -> tuple[Scenario, float]:
@@ -277,10 +281,10 @@ def _scenario_id(scenario: Scenario) -> str:
 def _sweep_csv(
     template: Scenario, vary: str, grid: np.ndarray, readings: np.ndarray, scale: float
 ) -> Iterator[str]:
-    """CSV lines of a chi or alpha sweep: a header, then one row per point and detector.
+    """CSV of a chi or alpha sweep: a header line, then per grid point one chunk of its detectors' rows.
 
-    Strings that are constant over the sweep are formatted once, and the
-    varied value once per point.
+    Strings that are constant over the sweep go into one ``%`` template of
+    the point's three rows, and the varied value is formatted once per point.
     """
     rates = count_rate(readings, scale).tolist()
     ins = template.insertion
@@ -288,37 +292,35 @@ def _sweep_csv(
     chi = _num(template.chi_rad)
     alpha = _num(ins.alpha_rad) if magnet else ""
     trunc = ins.truncation.value if magnet else ""
-    sid = _scenario_id(template)
-    heads = [f"{sid},{det.value}," for det in Detector]
-    yield "scenario_id,detector,chi_rad,alpha_rad,truncation,intensity_norm,intensity_cps"
-    for value, norms, cps in zip(grid.tolist(), readings.tolist(), rates):
-        if vary == "chi":
-            chi = _num(value)
-        else:
-            alpha = _num(value)
-        point = f"{chi},{alpha},{trunc},"
-        yield from (f"{head}{point}{n:.12e},{c:.12e}" for head, n, c in zip(heads, norms, cps))
+    sid = _scenario_id(template).replace("%", "%%")
+    point = "%s," + alpha + "," if vary == "chi" else chi + ",%s,"
+    rows = "".join(f"{sid},{det.value},{point}{trunc},%.12e,%.12e\n" for det in Detector)
+    yield "scenario_id,detector,chi_rad,alpha_rad,truncation,intensity_norm,intensity_cps\n"
+    for value, (n0, n1, n2), (c0, c1, c2) in zip(grid.tolist(), readings.tolist(), rates):
+        v = _num(value)
+        yield rows % (v, n0, c0, v, n1, c1, v, n2, c2)
 
 
-def _write_csv(path_text: str | None, lines: Iterable[str]) -> None:
-    if path_text is None:
-        sys.stdout.writelines(f"{line}\n" for line in lines)
+def _write_csv(csv: tuple[str, str] | None, chunks: Iterable[str]) -> None:
+    """Write CSV chunks of whole lines, a header line first, to stdout or to a :func:`_csv_path` file."""
+    if csv is None:
+        sys.stdout.writelines(chunks)
         return
+    path_text, target = csv
     # Stream into a sibling file renamed over the target: a failed write keeps the old CSV.
-    # A symlink is written through: the file it points to is the target.
-    target = FilePath(os.path.realpath(path_text) if os.path.islink(path_text) else path_text)
-    partial = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+    partial = FilePath(target).with_name(f".{os.path.basename(target)}.{os.getpid()}.tmp")
+    rows = -1  # the header is no row
     try:
         with open(partial, "w", encoding="utf-8", newline="") as handle:
-            for rows, line in enumerate(lines):  # the header is line 0
-                handle.write(f"{line}\n")
+            for chunk in chunks:
+                handle.write(chunk)
+                rows += chunk.count("\n")
         os.replace(partial, target)
-    except OSError as exc:
-        if exc.filename == str(partial):  # name the path given, not the sibling
+    except BaseException as exc:
+        partial.unlink(missing_ok=True)
+        if isinstance(exc, OSError) and exc.filename == str(partial):  # name the path given
             raise OSError(exc.errno, exc.strerror, path_text) from None
         raise
-    finally:
-        partial.unlink(missing_ok=True)
     print(f"wrote {rows} rows to {path_text}")
 
 
@@ -406,10 +408,10 @@ def cmd_analyze(args: argparse.Namespace) -> int:
               "deficit_exact_norm", "deficit_linear_norm", "deficit_quadratic_norm"]
     intensities = (report.i_exact, report.i_linear, report.i_quadratic)
     table_rows = []
-    csv_lines = [",".join(header)]
+    csv_lines = [",".join(header) + "\n"]
     for cells in zip(report.alpha_grid, *intensities, *(I_REF_NORM - i for i in intensities)):
         table_rows.append([f"{c:.6g}" for c in cells])
-        csv_lines.append(",".join(_num(c) for c in cells))
+        csv_lines.append(",".join(_num(c) for c in cells) + "\n")
 
     print(f"truncation scan: magnet on path {path.name}, chi = 0, {len(grid)} angles")
     print(_table(header, table_rows))
@@ -437,6 +439,7 @@ def build_parser() -> _Parser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices  # subcommand name -> its own parser, for main
 
     p_run = sub.add_parser("run", help="simulate one scenario and print detector intensities")
     _add_scenario_args(p_run)
@@ -469,8 +472,12 @@ def build_parser() -> _Parser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = build_parser().parse_args(argv)
+        parser = build_parser()
+        if argv and argv[0] in parser.commands:  # one parse pass, by the subcommand's own parser
+            parser, argv = parser.commands[argv[0]], argv[1:]
+        args = parser.parse_args(argv)
         code = args.func(args)
         sys.stdout.flush()
         return code

@@ -7,7 +7,7 @@ from pathlib import Path as FilePath
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from cheshire import analysis, cli, experiment
@@ -18,7 +18,7 @@ from cheshire.cli import (
     parse_scenario_config,
 )
 from cheshire.elements import Truncation
-from cheshire.experiment import DEFAULT_SCALE_REF_CPS, Absorber, Magnet, Scenario
+from cheshire.experiment import DEFAULT_SCALE_REF_CPS, Absorber, Detector, Magnet, Scenario
 from cheshire.qcore import Path
 
 
@@ -727,6 +727,60 @@ class TestReusedParser:
         assert cli.build_parser() is cli.build_parser()
 
 
+# One argv per subcommand, each exiting 0.
+SUBCOMMAND_ARGV = [
+    ["run", "--insertion", "magnet", "--path", "I", "--alpha-deg=-20", "--chi-deg", "30"],
+    ["sweep", "--vary", "alpha", "--insertion", "magnet", "--path", "II", "--points", "3"],
+    ["weakvalues"],
+    ["reproduce", "--scale-ref-cps", "11.25"],
+    ["analyze", "--path", "II", "--points", "10", "--csv", "scan.csv"],
+]
+
+
+class TestDispatch:
+    """main parses a subcommand's argv with that subcommand's parser alone."""
+
+    def test_every_subcommand_is_listed(self):
+        assert [argv[0] for argv in SUBCOMMAND_ARGV] == list(cli.build_parser().commands)
+
+    def test_top_level_parser_is_not_used_for_a_subcommand(self, capsys, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the top-level parser parsed a subcommand's argv")
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli.build_parser(), "parse_args", refuse)
+        for argv in SUBCOMMAND_ARGV:
+            code, _, err = run_cli(capsys, *argv)
+            assert (code, err) == (0, ""), argv
+
+    @pytest.mark.parametrize("argv", SUBCOMMAND_ARGV, ids=lambda argv: argv[0])
+    def test_both_routes_parse_the_same_namespace(self, argv):
+        parser = cli.build_parser()
+        both_passes = vars(parser.parse_args(argv))
+        assert both_passes.pop("command") == argv[0]
+        assert vars(parser.commands[argv[0]].parse_args(argv[1:])) == both_passes
+
+    @pytest.mark.parametrize(
+        "argv, err",
+        [
+            ([], "error: the following arguments are required: command\n"),
+            (["bogus"], "error: argument command: invalid choice: 'bogus' "
+                        "(choose from 'run', 'sweep', 'weakvalues', 'reproduce', 'analyze')\n"),
+            (["sweep", "--vary", "chi", "--bogus"], "error: unrecognized arguments: --bogus\n"),
+            (["--bogus", "run"], "error: unrecognized arguments: --bogus\n"),
+        ],
+        ids=["no-command", "unknown-command", "unknown-sweep-flag", "flag-before-command"],
+    )
+    def test_error_lines(self, capsys, argv, err):
+        assert run_cli(capsys, *argv) == (1, "", err)
+
+    def test_top_level_help_still_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["-h"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: cheshire [-h] {run,sweep,")
+
+
 class TestStreamedCsv:
     ARGS = ["sweep", "--vary", "chi", "--insertion", "magnet", "--path", "I", "--alpha-deg", "20"]
 
@@ -785,6 +839,77 @@ class TestStreamedCsv:
         size = out_csv.stat().st_size
         assert size > 7_000_000
         assert peak < 2 * size, (peak, size)
+
+    def test_success_makes_no_unlink_call(self, capsys, tmp_path, monkeypatch):
+        out_csv = tmp_path / "sweep.csv"
+        out_csv.write_bytes(b"old contents\n")
+        calls = []
+        monkeypatch.setattr(FilePath, "unlink", lambda *args, **kwargs: calls.append(args))
+        monkeypatch.setattr(os, "unlink", lambda *args, **kwargs: calls.append(args))
+        monkeypatch.setattr(os, "remove", lambda *args, **kwargs: calls.append(args))
+        code, out, _ = run_cli(capsys, *self.ARGS, "--points", "5", "--csv", str(out_csv))
+        assert (code, out) == (0, f"wrote 15 rows to {out_csv}\n")
+        assert calls == []
+        assert [p.name for p in tmp_path.iterdir()] == ["sweep.csv"]
+
+
+def expected_sweep_csv(template: Scenario, vary: str, grid: np.ndarray, scale: float) -> str:
+    """A sweep's CSV as the README's schema spells it, each number by format(x, ".12e")."""
+    readings = experiment.run_batch(template, **{f"{vary}_rad": grid})
+    rates = experiment.count_rate(readings, scale)
+    ins = template.insertion
+    if ins is None:
+        sid, alpha_rad, trunc = "none", None, ""
+    elif isinstance(ins, Absorber):
+        sid, alpha_rad, trunc = f"absorber:{ins.path.name}:T={ins.transmissivity:.12g}", None, ""
+    else:
+        sid, alpha_rad, trunc = f"magnet:{ins.path.name}:{ins.truncation.value}", ins.alpha_rad, ins.truncation.value
+    lines = ["scenario_id,detector,chi_rad,alpha_rad,truncation,intensity_norm,intensity_cps"]
+    for value, norms, cps in zip(grid, readings, rates):
+        chi, alpha = (value, alpha_rad) if vary == "chi" else (template.chi_rad, value)
+        point = [format(chi, ".12e"), "" if alpha is None else format(alpha, ".12e"), trunc]
+        for det, n, c in zip(Detector, norms, cps):
+            lines.append(",".join([sid, det.value, *point, format(n, ".12e"), format(c, ".12e")]))
+    return "".join(line + "\n" for line in lines)
+
+
+angles = st.floats(-10.0, 10.0)
+sweep_templates = st.one_of(
+    st.none(),
+    st.builds(Absorber, paths, st.floats(0.0, 1.0)),
+    st.builds(Magnet, paths, angles, st.sampled_from(list(Truncation))),
+)
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    ins=sweep_templates,
+    chi=angles,
+    vary=st.sampled_from(["chi", "alpha"]),
+    points=st.integers(2, 12),
+    start=st.floats(1e-4, 1.0),
+    width=st.floats(1e-3, 5.0),
+    scale=st.floats(1e-3, 1e3),
+)
+def test_sweep_csv_bytes_match_a_plain_formatter(capsys, tmp_path, ins, chi, vary, points, start, width, scale):
+    if not isinstance(ins, Magnet):
+        vary = "chi"
+    template = Scenario(ins, chi)
+    argv = ["sweep", "--vary", vary, "--points", str(points), f"--start={start!r}",
+            f"--stop={start + width!r}", f"--scale-ref-cps={scale!r}", f"--chi-rad={chi!r}"]
+    if ins is not None:
+        argv += ["--insertion", "absorber" if isinstance(ins, Absorber) else "magnet", "--path", ins.path.name]
+    if isinstance(ins, Absorber):
+        argv.append(f"--transmissivity={ins.transmissivity!r}")
+    if isinstance(ins, Magnet):
+        argv += [f"--alpha-rad={ins.alpha_rad!r}", "--truncation", ins.truncation.value]
+    space = np.linspace if vary == "chi" else np.geomspace
+    expected = expected_sweep_csv(template, vary, space(start, start + width, points), scale)
+
+    assert run_cli(capsys, *argv) == (0, expected, "")
+    out_csv = tmp_path / "sweep.csv"
+    assert run_cli(capsys, *argv, "--csv", str(out_csv)) == (0, f"wrote {3 * points} rows to {out_csv}\n", "")
+    assert out_csv.read_bytes() == expected.encode("utf-8")
 
 
 class TestInputChecks:
@@ -887,6 +1012,28 @@ class TestCsvTarget:
         assert (code, out) == (1, "")
         assert err.startswith("error: [Errno ") and err.endswith(f": {str(loop)!r}\n")
         assert loop.is_symlink()
+
+    @pytest.mark.parametrize("argv", [ARGS, ["analyze", "--path", "I", "--points", "10"]])
+    def test_dangling_symlink_into_a_missing_directory_is_refused_before_any_work(self, capsys, tmp_path, argv):
+        # analyze used to print its whole report before the write failed
+        link = tmp_path / "d.csv"
+        link.symlink_to(os.path.join("nodir", "x.csv"))
+        assert run_cli(capsys, *argv, "--csv", str(link)) == (
+            1, "", f"error: [Errno 2] No such file or directory: {str(link)!r}\n"
+        )
+        assert link.is_symlink()
+        assert [p.name for p in tmp_path.iterdir()] == ["d.csv"]
+
+    def test_dangling_symlink_into_a_directory_creates_its_target(self, capsys, tmp_path):
+        (tmp_path / "sub").mkdir()
+        link = tmp_path / "d.csv"
+        link.symlink_to(os.path.join("sub", "x.csv"))
+        code, stdout_csv, _ = run_cli(capsys, *self.ARGS)
+        assert code == 0
+        assert run_cli(capsys, *self.ARGS, "--csv", str(link)) == (0, f"wrote 15 rows to {link}\n", "")
+        assert link.is_symlink()
+        assert (tmp_path / "sub" / "x.csv").read_bytes() == stdout_csv.encode("utf-8")
+        assert [p.name for p in (tmp_path / "sub").iterdir()] == ["x.csv"]
 
 
 class TestAlphaSweepWithoutAngle:
