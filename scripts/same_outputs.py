@@ -69,9 +69,11 @@ CONFIGS = {
 WALL_TIME = re.compile(rb" in \d+\.\d+s$", re.MULTILINE)
 
 # Commands with bad input, each refused with one error line: a value, a
-# missing or stray field, a grid bound, an unreadable config file, and on
-# both parse routes (the top-level parser's and a subcommand's own) a
-# missing or unknown command and an unknown flag.
+# missing or stray field, a grid bound, an unreadable config file, a
+# quadratic magnet whose readings overflow (in the scan's one array pass,
+# whose first bad row is a quadratic one, and in run's scalar readout at
+# chi = 0), and on both parse routes (the top-level parser's and a
+# subcommand's own) a missing or unknown command and an unknown flag.
 BAD_INPUT = [
     ["run", "--chi-rad", "nan"],
     ["run", "--insertion", "magnet", "--path", "II"],
@@ -79,6 +81,8 @@ BAD_INPUT = [
     ["analyze", "--path", "I", "--alpha-min", "-1e-3"],
     ["run", "--config", "missing.cfg"],
     ["sweep", "--vary", "alpha", "--insertion", "absorber", "--path", "I", "--transmissivity", "0.5"],
+    ["analyze", "--path", "II", "--alpha-max", "3e154"],
+    ["run", "--insertion", "magnet", "--path", "II", "--truncation", "quadratic", "--alpha-rad", "3e154"],
     [],
     ["bogus"],
     ["sweep", "--vary", "chi", "--bogus"],

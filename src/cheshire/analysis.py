@@ -96,7 +96,7 @@ def _o_selected_by_truncation(path: Path, alpha: np.ndarray) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         for row, rotation in enumerate(_ROTATION.values()):
             c[row], s[row] = rotation(alpha)
-        readings = _readout(np.zeros(c.size), path, c.ravel(), s.ravel(), np.tile(alpha, len(c)))
+        readings = _readout(None, path, c.ravel(), s.ravel(), alpha)
     return readings[:, 0].reshape(c.shape)
 
 

@@ -25,14 +25,15 @@ One map, ``_factor``, gives every insertion as ``(path, c, s)``: an
 absorber is (sqrt(T), 0), a magnet its truncation's row of ``_ROTATION``,
 and no insertion the identity (1, 0).  The sweeps are one call each.
 :func:`run`, always one point, reads its scenario out in Python scalars
-instead, with the kernel's arguments and the same bits as its row: a real
-factor is a Python product, the one general complex product (an amplitude
-times a rotation's ``c ± i s``) goes through ``np.multiply``, whose loop
-may fuse a multiply-add, and each port sums its squares in numpy's order.
-The truncation scan and the witness of :mod:`cheshire.analysis` take the
-rows of ``_ROTATION`` directly, with no scenario built: the scan stacks
-all three over its grid into one pass of the array kernel, and the
-witness reads each at its one angle through the scalar one.  The canonical
+instead, with the kernel's arguments and the same bits as its row: a
+product with a real factor or, at chi = 0, a real amplitude is a Python
+product; only a phase-shifted amplitude times a magnet's ``c ± i s`` goes
+through ``np.multiply``, whose loop may fuse a multiply-add; each port sums
+its squares in numpy's order.  The truncation scan and the witness of
+:mod:`cheshire.analysis` take the rows of ``_ROTATION`` at chi = 0, with
+no scenario built: the scan stacks all three over its grid into one pass
+of the array kernel with no phase stage, and the witness reads each at
+its angle through the scalar one, with no numpy call.  The canonical
 weak values are contracted once from the same ``(path, spin)`` constants.
 The 4x4 joint algebra of :mod:`cheshire.qcore` and
 :mod:`cheshire.elements` is not on either route; it serves
@@ -199,16 +200,21 @@ _RECOMBINE = np.array([[1.0], [-1.0]])
 _PORT_WEIGHTS = np.array([0.25, 0.5, 0.5])
 
 
-def _readout(chi: np.ndarray, path: Path, c, s, alpha: np.ndarray | None) -> np.ndarray:
+def _readout(chi: np.ndarray | None, path: Path, c, s, alpha: np.ndarray | None) -> np.ndarray:
     """The one array pass: ``(N, 3)`` readings, columns as :class:`Detector`.
 
     Row n has phase ``chi[n]`` and, on ``path``, the spin diagonal
     c + i s sigma_z of :func:`_factor`; ``c`` and ``s`` are scalars or one
-    value per row.  ``alpha`` only names a non-finite row in the ValueError.
+    value per row.  ``chi=None`` is zero phase, one row per ``c``: the bits of
+    ``_PREPARED * exp(0)``, since every imaginary part is +0.  ``alpha`` only
+    names a non-finite row n in the ValueError, as ``alpha[n % alpha.size]``.
     Callers hold ``np.errstate(over="ignore", invalid="ignore")``, since a
     truncated rotation at a huge angle overflows.
     """
-    amp = _PREPARED * np.exp(np.multiply.outer(chi, _HALF_PHASE))[:, :, np.newaxis]
+    if chi is None:
+        amp = np.repeat(_PREPARED[np.newaxis], np.size(c), axis=0)
+    else:
+        amp = _PREPARED * np.exp(np.multiply.outer(chi, _HALF_PHASE))[:, :, np.newaxis]
     factor = np.multiply.outer(s, _I_SIGMA_Z)
     factor += np.asarray(c)[..., np.newaxis]  # in place: one (N, 2) temporary fewer
     amp[:, path.value] *= factor
@@ -216,14 +222,15 @@ def _readout(chi: np.ndarray, path: Path, c, s, alpha: np.ndarray | None) -> np.
 
     # ports[n, port, spin]: the filtered O amplitude (times 2, in the
     # spin-up slot), then the O and H ports (times sqrt(2)).
-    ports = np.zeros((chi.size, 3, 2), dtype=complex)
+    ports = np.zeros((len(amp), 3, 2), dtype=complex)
     np.add(amp[:, :1], _RECOMBINE * amp[:, 1:], out=ports[:, 1:])
     np.subtract(ports[:, 1, 0], ports[:, 1, 1], out=ports[:, 0, 0])
     readings = np.square(ports.view(float)).sum(axis=2) * _PORT_WEIGHTS
 
     if not np.isfinite(readings).all():
         i = int(np.argmin(np.isfinite(readings).all(axis=1)))
-        raise _not_finite(float(chi[i]), None if alpha is None else float(alpha[i]))
+        chi_i = 0.0 if chi is None else float(chi[i])
+        raise _not_finite(chi_i, None if alpha is None else float(alpha[i % alpha.size]))
     return readings
 
 
@@ -232,21 +239,24 @@ def _readout_one(chi: float, path: Path, c, s, alpha: float | None) -> tuple[flo
 
     The four amplitudes are Python complex numbers.  Sums, differences,
     real scalings and powers of two round alike here and in the array
-    kernel, so a real factor (s = 0) stays a Python product.  The product
-    by a magnet's ``c ± i s`` goes through ``np.multiply``, whose complex
-    loop may fuse a multiply-add that Python's ``*`` does not, and each port
-    sums its squares in numpy's order (see :func:`_port_norm`).
+    kernel, and so does a product with a real factor (s = 0) or a real
+    amplitude (chi = 0): each partial product by ±0 is exact, fused or not.
+    The product of a complex amplitude by a magnet's ``c ± i s`` goes through
+    ``np.multiply``, whose complex loop may fuse a multiply-add that Python's
+    ``*`` does not, and each port sums its squares in numpy's order (see
+    :func:`_port_norm`).
     """
     half = chi / 2.0
     re, im = 0.5 * math.cos(half), 0.5 * math.sin(half)
     # amp[path][spin] of the prepared state behind the phase shifter
     amp = [[complex(re, -im), complex(re, -im)], [complex(re, im), complex(-re, -im)]]
-    spins = amp[path.value]
-    if s == 0.0:
-        amp[path.value] = [a * c for a in spins]
+    p = path.value
+    spins = amp[p]
+    if s == 0.0 or im == 0.0:
+        amp[p] = [spins[0] * complex(c, s), spins[1] * complex(c, -s)]
     else:
         with np.errstate(over="ignore", invalid="ignore"):
-            amp[path.value] = np.multiply(spins, [complex(c, s), complex(c, -s)]).tolist()
+            amp[p] = np.multiply(spins, [complex(c, s), complex(c, -s)]).tolist()
 
     (i_up, i_down), (ii_up, ii_down) = amp
     o_up, o_down = i_up + ii_up, i_down + ii_down

@@ -21,9 +21,10 @@ independent reference.
 To second order in the rotation angle the O_SELECTED intensity behind a
 magnet on path j is
 
-    I_j = I_ref * (1 - (alpha^2/4) <Pi_j>_w + (alpha^2/4) |<sigma_z Pi_j>_w|^2)
+    I_j = I_ref * (1 - alpha Im<sigma_z Pi_j>_w - (alpha^2/4) (Re<Pi_j>_w - |<sigma_z Pi_j>_w|^2))
 
-(``weakvalue_intensity``).  The estimators below invert that expansion,
+(``weakvalue_intensity``; the standard states' weak values are real, so
+their first-order term is 0).  The estimators below invert that expansion,
 and the first-order absorber response, to pull weak values back out of
 intensities; they are deliberately simple inversions whose truncation
 error is itself an object of study in :mod:`cheshire.analysis`.
@@ -160,8 +161,8 @@ def weakvalue_intensity(
 ) -> float:
     """Second-order weak-value prediction for the post-magnet O_SELECTED intensity.
 
-    Only the real part of the path weak value enters the intensity; for the
-    standard states it is exactly real anyway.
+    The module docstring's expansion of I_ref |1 + (c - 1)<Pi_j>_w + i s <sigma_z Pi_j>_w|^2,
+    with an error of third order in alpha; a real <sigma_z Pi_j>_w adds 0 at first order.
     """
     alpha = _require_real("alpha_rad", alpha_rad)
     i_ref_norm = _require_real("i_ref_norm", i_ref_norm, "be positive")
@@ -171,7 +172,8 @@ def weakvalue_intensity(
     else:
         pi_w, sigma_pi_w = weak_values.pi_ii, weak_values.sigma_pi_ii
     quarter = alpha * alpha / 4.0
-    value = float(i_ref_norm * (1.0 - quarter * pi_w.real + quarter * abs(sigma_pi_w) ** 2))
+    first = 1.0 - alpha * sigma_pi_w.imag  # 1.0 - (±0.0) = 1.0 for real weak values
+    value = float(i_ref_norm * (first - quarter * pi_w.real + quarter * abs(sigma_pi_w) ** 2))
     if not math.isfinite(value):
         raise ValueError(
             f"alpha_rad {alpha_rad!r} gives a prediction that is not finite ({value!r}) "
@@ -221,7 +223,7 @@ def estimate_sigma_pi(
 ) -> WeakValueEstimate:
     """Invert the second-order intensity expansion for |<sigma_z Pi_j>_w|.
 
-    Solves the ``weakvalue_intensity`` bracket for the squared magnitude,
+    Solves the ``weakvalue_intensity`` bracket, at Im = 0, for the squared magnitude,
 
         |<sigma_z Pi_j>_w|^2 = (4/alpha^2) (I_mag/I_ref - 1) + pi_w,
 

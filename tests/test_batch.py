@@ -16,17 +16,21 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cheshire import elements, qcore
+from cheshire import elements, experiment, qcore
+from cheshire.analysis import cheshire_witness
 from cheshire.elements import Truncation
 from cheshire.experiment import (
+    _ROTATION,
     Absorber,
     Detector,
     Magnet,
     Scenario,
     _factor,
+    _readout,
+    _readout_one,
     count_rate,
     initial_state,
     run,
@@ -153,6 +157,63 @@ def test_run_reads_out_the_kernel_row_bit_for_bit(scenario, scale):
 
     expected = _outcome(kernel_row)
     assert _outcome(lambda: [run(scenario, scale)[det].intensity_norm for det in Detector]) == expected
+
+
+class TestZeroPhase:
+    """At chi = 0 both kernels skip work whose bits they know: the array pass
+    its phase stage (``chi=None``), the scalar one numpy's complex product."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(paths, st.lists(st.floats(-1e200, 1e200), min_size=1, max_size=8))
+    def test_no_phase_is_zero_phase_bit_for_bit(self, path, alpha):
+        # the scan's stack of all three rotation rows over one grid of angles
+        alpha = np.array(alpha)
+        c, s = np.empty((2, len(_ROTATION), alpha.size))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for row, rotation in enumerate(_ROTATION.values()):
+                c[row], s[row] = rotation(alpha)
+            c, s = c.ravel(), s.ravel()
+            no_phase = _outcome(lambda: _readout(None, path, c, s, alpha))
+            zero_phase = _outcome(lambda: _readout(np.zeros(c.size), path, c, s, np.tile(alpha, 3)))
+        assert no_phase == zero_phase
+
+    # any (c, s), not only a rotation's: c = -inf is a quadratic one past
+    # |alpha| ~ 3.8e154, and the Python product at chi = 0 must keep its
+    # signed zeros and its inf * 0 as numpy's complex loop does
+    @settings(max_examples=1000, deadline=None)
+    @given(
+        paths,
+        st.sampled_from([0.0, -0.0]) | st.floats(-7.0, 7.0),
+        st.floats(allow_nan=False),
+        st.floats(allow_nan=False),
+    )
+    @example(Path.I, 0.0, -math.inf, 0.5)
+    @example(Path.II, 0.0, math.inf, -0.5)
+    @example(Path.I, -0.0, -0.0, 0.0)
+    @example(Path.II, 0.0, 0.75, -0.0)
+    @example(Path.II, 0.0, -0.0, 0.5)
+    def test_scalar_readout_is_the_array_row_bit_for_bit(self, path, chi, c, s):
+        with np.errstate(over="ignore", invalid="ignore"):
+            row = _outcome(lambda: _readout(np.array([chi]), path, c, s, np.array([0.5]))[0])
+        assert _outcome(lambda: _readout_one(chi, path, c, s, 0.5)) == row
+
+    def test_chi_zero_readouts_make_no_numpy_multiply(self, monkeypatch):
+        class Multiplied(Exception):
+            pass
+
+        class NumpyWithoutMultiply:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def multiply(self, *args, **kwargs):
+                raise Multiplied
+
+        monkeypatch.setattr(experiment, "np", NumpyWithoutMultiply())
+        cheshire_witness(0.3)
+        for path in Path:
+            run(Scenario(insertion=Magnet(path, 0.3)))
+            with pytest.raises(Multiplied):
+                run(Scenario(insertion=Magnet(path, 0.3), chi_rad=0.5))
 
 
 class TestRunBatch:

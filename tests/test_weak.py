@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -152,6 +153,36 @@ class TestWeakValueIntensity:
                 for a in alphas
             ]
             assert fit_loglog_slope(alphas, errors) == pytest.approx(4.0, abs=0.2)
+
+    @pytest.mark.parametrize("path", list(Path))
+    def test_complex_sigma_z_weak_value_has_a_first_order_term(self, path):
+        # post-selection (1/sqrt 2)(cos pi/4, -e^{0.5i} sin pi/4) on both paths, so
+        # Im <sigma_z Pi_j>_w = -+0.24: without the -alpha Im term the errors are
+        # -+6.0e-4, -+3.0e-3 and -+6.0e-3 at these angles, first order in alpha
+        spin = np.array([math.cos(math.pi / 4), -cmath.exp(0.5j) * math.sin(math.pi / 4)])
+        post = np.array([spin, spin]) / math.sqrt(2)
+        values = _contract(_PREPARED, post)
+        i_ref = abs(np.vdot(post, _PREPARED)) ** 2
+        assert i_ref == pytest.approx(0.25, abs=1e-15)
+        for alpha in (0.01, 0.05, 0.1):
+            # the exact rotation, e^{+-i alpha/2} on the path's spin, by direct contraction
+            diagonal = np.ones((2, 2), dtype=complex)
+            diagonal[path.value] = [cmath.exp(0.5j * alpha), cmath.exp(-0.5j * alpha)]
+            exact = abs(np.vdot(post, diagonal * _PREPARED)) ** 2
+            error = weakvalue_intensity(alpha, path, values, i_ref) - exact
+            assert abs(error) <= 0.02 * alpha**3, (alpha, error)
+
+    @given(st.floats(-1e150, 1e150), st.sampled_from(list(Path)))
+    def test_standard_pair_keeps_the_bits_of_the_second_order_terms(self, alpha, path):
+        # the first-order term is 1.0 - (+-0.0) for real weak values: no bit moves
+        values = exact_weak_values()
+        pi_w, sigma_pi_w = {
+            Path.I: (values.pi_i, values.sigma_pi_i),
+            Path.II: (values.pi_ii, values.sigma_pi_ii),
+        }[path]
+        quarter = alpha * alpha / 4.0
+        expected = 0.25 * (1.0 - quarter * pi_w.real + quarter * abs(sigma_pi_w) ** 2)
+        assert weakvalue_intensity(alpha, path, values, 0.25) == expected
 
     def test_rejects_bad_reference(self):
         with pytest.raises(ValueError):
