@@ -69,11 +69,13 @@ CONFIGS = {
 WALL_TIME = re.compile(rb" in \d+\.\d+s$", re.MULTILINE)
 
 # Commands with bad input, each refused with one error line: a value, a
-# missing or stray field, a grid bound, an unreadable config file, a
-# quadratic magnet whose readings overflow (in the scan's one array pass,
-# whose first bad row is a quadratic one, and in run's scalar readout at
-# chi = 0), and on both parse routes (the top-level parser's and a
-# subcommand's own) a missing or unknown command and an unknown flag.
+# missing or stray field, a grid bound, an unreadable config file, magnets
+# whose readings overflow at chi = 0 (in the scan's one array pass, whose
+# first bad row is a quadratic one on path II and a linear one on path I,
+# and in run's scalar readout, a quadratic magnet and a linear one whose
+# O_selected stays finite), and on both parse routes (the top-level
+# parser's and a subcommand's own) a missing or unknown command and an
+# unknown flag.
 BAD_INPUT = [
     ["run", "--chi-rad", "nan"],
     ["run", "--insertion", "magnet", "--path", "II"],
@@ -83,6 +85,8 @@ BAD_INPUT = [
     ["sweep", "--vary", "alpha", "--insertion", "absorber", "--path", "I", "--transmissivity", "0.5"],
     ["analyze", "--path", "II", "--alpha-max", "3e154"],
     ["run", "--insertion", "magnet", "--path", "II", "--truncation", "quadratic", "--alpha-rad", "3e154"],
+    ["run", "--insertion", "magnet", "--path", "II", "--truncation", "linear", "--alpha-rad", "1e200"],
+    ["analyze", "--path", "I", "--alpha-max", "3e154"],
     [],
     ["bogus"],
     ["sweep", "--vary", "chi", "--bogus"],
@@ -120,6 +124,7 @@ def commands() -> list[tuple[list[str], str | None]]:
     runs += [
         (["run", "--config", "magnet.cfg"], None),
         (["run", "--config", "magnet.cfg", "--alpha-deg", "0"], None),
+        (["run", "--config", "magnet.cfg", "--chi-rad", "-0.0"], None),
         (["run", "--config", "partial.cfg", "--path", "II", "--alpha-deg", "20"], None),
         (["sweep", "--config", "magnet.cfg", "--vary", "alpha", "--points", "25",
           "--csv", "sweep_config.csv"], "sweep_config.csv"),

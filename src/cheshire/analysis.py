@@ -22,8 +22,9 @@ from .experiment import (
     _ROTATION,
     Magnet,
     Scenario,
-    _readout,
+    _not_finite,
     _readout_one,
+    _zero_phase,
     closed_form_o,
     count_rate,
 )
@@ -88,16 +89,20 @@ def _slope(log_x: np.ndarray, err: np.ndarray, floor: float) -> float:
 def _o_selected_by_truncation(path: Path, alpha: np.ndarray) -> np.ndarray:
     """O_SELECTED at chi = 0 behind a magnet on ``path``: one row per truncation, one pass.
 
-    The rows of ``_ROTATION`` stack in ``Truncation`` order, so an overflow
-    names the first bad linear angle before any quadratic one, as one run_batch
-    call per truncation would; the exact rotation never overflows.
+    The rows of ``_ROTATION`` stack in ``Truncation`` order, and all three
+    readings are checked, so an overflow names the first bad linear angle
+    before any quadratic one, as one run_batch call per truncation would.
     """
     c, s = np.empty((2, len(_ROTATION), alpha.size))
     with np.errstate(over="ignore", invalid="ignore"):
         for row, rotation in enumerate(_ROTATION.values()):
             c[row], s[row] = rotation(alpha)
-        readings = _readout(None, path, c.ravel(), s.ravel(), alpha)
-    return readings[:, 0].reshape(c.shape)
+        o_selected, o_unselected, h = _zero_phase(path, c, s)
+    finite = np.isfinite((o_selected, o_unselected, h))
+    if not finite.all():
+        i = int(np.argmin(finite.all(axis=0).ravel()))
+        raise _not_finite(0.0, float(alpha[i % alpha.size]))
+    return o_selected
 
 
 @dataclass(frozen=True, eq=False)
@@ -154,12 +159,13 @@ def cheshire_witness(alpha_rad: float) -> CheshireDeficits:
     """Deficit of the post-selected O intensity below the reference, per truncation.
 
     The linear deficit is identically zero, and exactly 0.0 in floating
-    point: the readout scales by powers of two only.  The quadratic and
-    exact deficits both equal I_ref * alpha^2/4 to leading order, so their
-    ratio tends to one as alpha tends to zero.  Each row of ``_ROTATION``
-    at ``alpha_rad`` is read out in Python scalars by the kernel
-    :func:`~cheshire.experiment.run` uses; the bits are those of the last
-    point of a :func:`truncation_scan` whose grid ends at ``alpha_rad``.
+    point: with c = 1 the real readout's port difference is 1 and its
+    imaginary part s/2 - s/2 is 0.  The quadratic and exact deficits both
+    equal I_ref * alpha^2/4 to leading order, so their ratio tends to one
+    as alpha tends to zero.  Each row of ``_ROTATION`` at ``alpha_rad`` is
+    read out in Python floats by the formula the scan applies to arrays;
+    the bits are those of the last point of a :func:`truncation_scan`
+    whose grid ends at ``alpha_rad``.
     """
     alpha = _require_real("alpha_rad", alpha_rad, "be positive")
     exact, linear, quadratic = (

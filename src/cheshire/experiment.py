@@ -25,15 +25,14 @@ One map, ``_factor``, gives every insertion as ``(path, c, s)``: an
 absorber is (sqrt(T), 0), a magnet its truncation's row of ``_ROTATION``,
 and no insertion the identity (1, 0).  The sweeps are one call each.
 :func:`run`, always one point, reads its scenario out in Python scalars
-instead, with the kernel's arguments and the same bits as its row: a
-product with a real factor or, at chi = 0, a real amplitude is a Python
-product; only a phase-shifted amplitude times a magnet's ``c ± i s`` goes
-through ``np.multiply``, whose loop may fuse a multiply-add; each port sums
-its squares in numpy's order.  The truncation scan and the witness of
-:mod:`cheshire.analysis` take the rows of ``_ROTATION`` at chi = 0, with
-no scenario built: the scan stacks all three over its grid into one pass
-of the array kernel with no phase stage, and the witness reads each at
-its angle through the scalar one, with no numpy call.  The canonical
+instead, with the kernel's arguments and the same bits as its row.  At
+chi = 0 every amplitude is real, and :func:`_zero_phase` reads the ports
+out in real arithmetic, on floats and arrays alike; elsewhere only a
+magnet's ``c ± i s`` times a phase-shifted amplitude goes through
+``np.multiply``, whose loop may fuse a multiply-add.  The truncation scan
+and the witness of :mod:`cheshire.analysis` take the rows of ``_ROTATION``
+at chi = 0, with no scenario built: the scan reads all three over its grid
+in one :func:`_zero_phase` pass, the witness each at its angle.  The canonical
 weak values are contracted once from the same ``(path, spin)`` constants.
 The 4x4 joint algebra of :mod:`cheshire.qcore` and
 :mod:`cheshire.elements` is not on either route; it serves
@@ -200,21 +199,17 @@ _RECOMBINE = np.array([[1.0], [-1.0]])
 _PORT_WEIGHTS = np.array([0.25, 0.5, 0.5])
 
 
-def _readout(chi: np.ndarray | None, path: Path, c, s, alpha: np.ndarray | None) -> np.ndarray:
+def _readout(chi: np.ndarray, path: Path, c, s, alpha: np.ndarray | None) -> np.ndarray:
     """The one array pass: ``(N, 3)`` readings, columns as :class:`Detector`.
 
     Row n has phase ``chi[n]`` and, on ``path``, the spin diagonal
     c + i s sigma_z of :func:`_factor`; ``c`` and ``s`` are scalars or one
-    value per row.  ``chi=None`` is zero phase, one row per ``c``: the bits of
-    ``_PREPARED * exp(0)``, since every imaginary part is +0.  ``alpha`` only
-    names a non-finite row n in the ValueError, as ``alpha[n % alpha.size]``.
-    Callers hold ``np.errstate(over="ignore", invalid="ignore")``, since a
-    truncated rotation at a huge angle overflows.
+    value per row.  ``alpha`` only names a non-finite row n in the
+    ValueError, as ``alpha[n % alpha.size]``.  Callers hold
+    ``np.errstate(over="ignore", invalid="ignore")``, since a truncated
+    rotation at a huge angle overflows.  :func:`_zero_phase` has its chi = 0 bits.
     """
-    if chi is None:
-        amp = np.repeat(_PREPARED[np.newaxis], np.size(c), axis=0)
-    else:
-        amp = _PREPARED * np.exp(np.multiply.outer(chi, _HALF_PHASE))[:, :, np.newaxis]
+    amp = _PREPARED * np.exp(np.multiply.outer(chi, _HALF_PHASE))[:, :, np.newaxis]
     factor = np.multiply.outer(s, _I_SIGMA_Z)
     factor += np.asarray(c)[..., np.newaxis]  # in place: one (N, 2) temporary fewer
     amp[:, path.value] *= factor
@@ -229,40 +224,59 @@ def _readout(chi: np.ndarray | None, path: Path, c, s, alpha: np.ndarray | None)
 
     if not np.isfinite(readings).all():
         i = int(np.argmin(np.isfinite(readings).all(axis=1)))
-        chi_i = 0.0 if chi is None else float(chi[i])
-        raise _not_finite(chi_i, None if alpha is None else float(alpha[i % alpha.size]))
+        raise _not_finite(float(chi[i]), None if alpha is None else float(alpha[i % alpha.size]))
     return readings
+
+
+def _zero_phase(path: Path, c, s) -> tuple:
+    """``(O_selected, O_unselected, H)`` at chi = 0 in real arithmetic, for floats or arrays.
+
+    There each prepared amplitude is ±1/2 with imaginary part +0, so each
+    complex operation of :func:`_readout` is one rounded real operation.  These
+    are those, in its order, with its bits (a non-finite reading may read inf
+    for nan).  Only ``+ - *``, so floats and arrays run the same code.
+    """
+    a, b = 0.5 * c, 0.5 * s
+    up, down = a + 0.5, 0.5 - a
+    if path is Path.II:
+        dif, im = up - down, b - b
+    else:
+        dif, im = up + down, b + b
+    up2, down2, b2 = up * up, down * down, b * b
+    return (dif * dif + im * im) * 0.25, (((up2 + b2) + down2) + b2) * 0.5, (((down2 + b2) + up2) + b2) * 0.5
 
 
 def _readout_one(chi: float, path: Path, c, s, alpha: float | None) -> tuple[float, float, float]:
     """One row of :func:`_readout` in Python scalars, bit for bit, from that row's arguments.
 
-    The four amplitudes are Python complex numbers.  Sums, differences,
-    real scalings and powers of two round alike here and in the array
-    kernel, and so does a product with a real factor (s = 0) or a real
-    amplitude (chi = 0): each partial product by ±0 is exact, fused or not.
-    The product of a complex amplitude by a magnet's ``c ± i s`` goes through
-    ``np.multiply``, whose complex loop may fuse a multiply-add that Python's
-    ``*`` does not, and each port sums its squares in numpy's order (see
-    :func:`_port_norm`).
+    At chi = 0 (``im == 0.0``) this is :func:`_zero_phase` on Python floats.
+    Otherwise the amplitudes are Python complex numbers.  Sums, differences,
+    real scalings and a product with a real factor (s = 0) round alike here
+    and in the array kernel.  A magnet's ``c ± i s`` times a complex
+    amplitude goes through ``np.multiply``, whose complex loop may fuse a
+    multiply-add that Python's ``*`` does not, and each port sums its
+    squares in numpy's order (see :func:`_port_norm`).
     """
     half = chi / 2.0
-    re, im = 0.5 * math.cos(half), 0.5 * math.sin(half)
-    # amp[path][spin] of the prepared state behind the phase shifter
-    amp = [[complex(re, -im), complex(re, -im)], [complex(re, im), complex(-re, -im)]]
-    p = path.value
-    spins = amp[p]
-    if s == 0.0 or im == 0.0:
-        amp[p] = [spins[0] * complex(c, s), spins[1] * complex(c, -s)]
+    im = 0.5 * math.sin(half)
+    if im == 0.0:
+        o_selected, o_unselected, h = _zero_phase(path, float(c), float(s))  # not np.float64
     else:
-        with np.errstate(over="ignore", invalid="ignore"):
-            amp[p] = np.multiply(spins, [complex(c, s), complex(c, -s)]).tolist()
-
-    (i_up, i_down), (ii_up, ii_down) = amp
-    o_up, o_down = i_up + ii_up, i_down + ii_down
-    o_selected = _port_norm(o_up - o_down, 0j) * 0.25
-    o_unselected = _port_norm(o_up, o_down) * 0.5
-    h = _port_norm(i_up - ii_up, i_down - ii_down) * 0.5
+        re = 0.5 * math.cos(half)
+        # amp[path][spin] of the prepared state behind the phase shifter
+        amp = [[complex(re, -im), complex(re, -im)], [complex(re, im), complex(-re, -im)]]
+        p = path.value
+        spins = amp[p]
+        if s == 0.0:
+            amp[p] = [spins[0] * complex(c, s), spins[1] * complex(c, -s)]
+        else:
+            with np.errstate(over="ignore", invalid="ignore"):
+                amp[p] = np.multiply(spins, [complex(c, s), complex(c, -s)]).tolist()
+        (i_up, i_down), (ii_up, ii_down) = amp
+        o_up, o_down = i_up + ii_up, i_down + ii_down
+        o_selected = _port_norm(o_up - o_down, 0j) * 0.25
+        o_unselected = _port_norm(o_up, o_down) * 0.5
+        h = _port_norm(i_up - ii_up, i_down - ii_down) * 0.5
     if not (math.isfinite(o_selected) and math.isfinite(o_unselected) and math.isfinite(h)):
         raise _not_finite(chi, alpha)
     return o_selected, o_unselected, h

@@ -20,7 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cheshire import elements, experiment, qcore
-from cheshire.analysis import cheshire_witness
+from cheshire.analysis import _o_selected_by_truncation, cheshire_witness
 from cheshire.elements import Truncation
 from cheshire.experiment import (
     _ROTATION,
@@ -31,6 +31,7 @@ from cheshire.experiment import (
     _factor,
     _readout,
     _readout_one,
+    _zero_phase,
     count_rate,
     initial_state,
     run,
@@ -139,6 +140,11 @@ def test_factor_is_the_factories_spin_diagonal(insertion):
             insertion_operator(insertion)
 
 
+def _bits_or_nan(values):
+    """The bits of each value, with every nan alike."""
+    return ["nan" if math.isnan(x) else np.float64(x).view(np.int64) for x in values]
+
+
 def _outcome(readout):
     """The bits of the three readings, or the ValueError text."""
     try:
@@ -160,8 +166,9 @@ def test_run_reads_out_the_kernel_row_bit_for_bit(scenario, scale):
 
 
 class TestZeroPhase:
-    """At chi = 0 both kernels skip work whose bits they know: the array pass
-    its phase stage (``chi=None``), the scalar one numpy's complex product."""
+    """At chi = 0 every prepared amplitude is real, and ``_zero_phase`` reads
+    the three ports out in real arithmetic, for the scan's arrays and for the
+    scalar readout's floats: it must give the complex kernel's bits."""
 
     @settings(max_examples=300, deadline=None)
     @given(paths, st.lists(st.floats(-1e200, 1e200), min_size=1, max_size=8))
@@ -173,13 +180,37 @@ class TestZeroPhase:
             for row, rotation in enumerate(_ROTATION.values()):
                 c[row], s[row] = rotation(alpha)
             c, s = c.ravel(), s.ravel()
-            no_phase = _outcome(lambda: _readout(None, path, c, s, alpha))
-            zero_phase = _outcome(lambda: _readout(np.zeros(c.size), path, c, s, np.tile(alpha, 3)))
-        assert no_phase == zero_phase
+            real = np.transpose(_zero_phase(path, c, s))
+            kernel = [_outcome(lambda: _readout(np.zeros(1), path, c[n], s[n], None)[0]) for n in range(c.size)]
+            stacked = _outcome(lambda: _readout(np.zeros(c.size), path, c, s, alpha)[:, 0])
+
+        def real_row(n):
+            if not np.isfinite(real[n]).all():
+                raise experiment._not_finite(0.0, None)
+            return real[n]
+
+        # all three columns row by row, and the same non-finite rows
+        assert [_outcome(lambda: real_row(n)) for n in range(c.size)] == kernel
+        # the scan names the kernel's first non-finite row
+        assert _outcome(lambda: _o_selected_by_truncation(path, alpha).ravel()) == stacked
+
+    # the one formula on floats (the scalar readout) and on arrays (the scan)
+    @settings(max_examples=1000, deadline=None)
+    @given(paths, st.floats(allow_nan=False), st.floats(allow_nan=False))
+    @example(Path.I, -math.inf, 0.5)
+    @example(Path.II, 0.75, math.inf)
+    @example(Path.I, -0.0, -0.0)
+    @example(Path.II, 0.0, -math.inf)
+    def test_floats_are_the_array_elements_bit_for_bit(self, path, c, s):
+        with np.errstate(over="ignore", invalid="ignore"):
+            array = _zero_phase(path, np.array([c]), np.array([s]))
+        floats = _zero_phase(path, c, s)
+        assert [type(x) for x in floats] == [float] * 3
+        assert _bits_or_nan(floats) == _bits_or_nan([x[0] for x in array])
 
     # any (c, s), not only a rotation's: c = -inf is a quadratic one past
-    # |alpha| ~ 3.8e154, and the Python product at chi = 0 must keep its
-    # signed zeros and its inf * 0 as numpy's complex loop does
+    # |alpha| ~ 3.8e154, and the real form at chi = 0 must refuse each row
+    # where numpy's complex loop meets inf * 0, and keep the bits elsewhere
     @settings(max_examples=1000, deadline=None)
     @given(
         paths,
@@ -214,6 +245,20 @@ class TestZeroPhase:
             run(Scenario(insertion=Magnet(path, 0.3)))
             with pytest.raises(Multiplied):
                 run(Scenario(insertion=Magnet(path, 0.3), chi_rad=0.5))
+
+    # an exact rotation's (c, s) are np.float64: run and the witness must
+    # still hand back Python floats, which count_rate takes without numpy
+    @pytest.mark.parametrize("chi", [0.0, -0.0, 0.5])
+    def test_run_and_witness_read_python_floats(self, chi):
+        insertions = [None, Absorber(Path.I, 0.5)] + [
+            Magnet(path, 0.3, truncation) for path in Path for truncation in Truncation
+        ]
+        for insertion in insertions:
+            for record in run(Scenario(insertion, chi)).values():
+                assert type(record.intensity_norm) is float and type(record.intensity_cps) is float
+        witness = cheshire_witness(0.3)
+        deficits = [witness.deficit_linear, witness.deficit_quadratic, witness.deficit_exact]
+        assert [type(x) for x in deficits] == [float] * 3
 
 
 class TestRunBatch:
