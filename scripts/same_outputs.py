@@ -73,9 +73,10 @@ WALL_TIME = re.compile(rb" in \d+\.\d+s$", re.MULTILINE)
 # whose readings overflow at chi = 0 (in the scan's one array pass, whose
 # first bad row is a quadratic one on path II and a linear one on path I,
 # and in run's scalar readout, a quadratic magnet and a linear one whose
-# O_selected stays finite), and on both parse routes (the top-level
-# parser's and a subcommand's own) a missing or unknown command and an
-# unknown flag.
+# O_selected stays finite) and at chi = 0.5 (in run's scalar readout and
+# in a sweep's array pass, which names its first bad angle), and on both
+# parse routes (the top-level parser's and a subcommand's own) a missing or
+# unknown command and an unknown flag.
 BAD_INPUT = [
     ["run", "--chi-rad", "nan"],
     ["run", "--insertion", "magnet", "--path", "II"],
@@ -87,6 +88,10 @@ BAD_INPUT = [
     ["run", "--insertion", "magnet", "--path", "II", "--truncation", "quadratic", "--alpha-rad", "3e154"],
     ["run", "--insertion", "magnet", "--path", "II", "--truncation", "linear", "--alpha-rad", "1e200"],
     ["analyze", "--path", "I", "--alpha-max", "3e154"],
+    ["run", "--insertion", "magnet", "--path", "I", "--truncation", "quadratic", "--alpha-rad", "3e154",
+     "--chi-rad", "0.5"],
+    ["sweep", "--insertion", "magnet", "--path", "II", "--truncation", "quadratic", "--alpha-rad", "0.3",
+     "--vary", "alpha", "--start", "1", "--stop", "3e154", "--points", "40", "--chi-rad", "0.5"],
     [],
     ["bogus"],
     ["sweep", "--vary", "chi", "--bogus"],

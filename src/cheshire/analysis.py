@@ -163,9 +163,10 @@ def cheshire_witness(alpha_rad: float) -> CheshireDeficits:
     imaginary part s/2 - s/2 is 0.  The quadratic and exact deficits both
     equal I_ref * alpha^2/4 to leading order, so their ratio tends to one
     as alpha tends to zero.  Each row of ``_ROTATION`` at ``alpha_rad`` is
-    read out in Python floats by the formula the scan applies to arrays;
-    the bits are those of the last point of a :func:`truncation_scan`
-    whose grid ends at ``alpha_rad``.
+    read out in Python floats by the readout of
+    :func:`cheshire.experiment.run`, whose bits at chi = 0 the scan's
+    special case keeps: they are those of the last point of a
+    :func:`truncation_scan` whose grid ends at ``alpha_rad``.
     """
     alpha = _require_real("alpha_rad", alpha_rad, "be positive")
     exact, linear, quadratic = (

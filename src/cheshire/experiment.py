@@ -16,28 +16,24 @@ O_SELECTED intensity is exactly 1/4 and is mapped to a laboratory count
 rate by ``scale_ref_cps`` (so the default 11.25 cps corresponds to the
 published reference rate).
 
-Every element is block-diagonal in path, so :func:`run_batch` evaluates a
-whole grid in one numpy pass on an ``(N, path, spin)`` amplitude array:
-the insertion multiplies one path's spin diagonal by c + i s sigma_z, the
-phase is a per-path scalar, and the recombiner plus spin filter one fixed
-contraction whose 1/sqrt(2) factors are folded into exact powers of two.
-One map, ``_factor``, gives every insertion as ``(path, c, s)``: an
-absorber is (sqrt(T), 0), a magnet its truncation's row of ``_ROTATION``,
-and no insertion the identity (1, 0).  The sweeps are one call each.
-:func:`run`, always one point, reads its scenario out in Python scalars
-instead, with the kernel's arguments and the same bits as its row.  At
-chi = 0 every amplitude is real, and :func:`_zero_phase` reads the ports
-out in real arithmetic, on floats and arrays alike; elsewhere only a
-magnet's ``c ± i s`` times a phase-shifted amplitude goes through
-``np.multiply``, whose loop may fuse a multiply-add.  The truncation scan
-and the witness of :mod:`cheshire.analysis` take the rows of ``_ROTATION``
-at chi = 0, with no scenario built: the scan reads all three over its grid
-in one :func:`_zero_phase` pass, the witness each at its angle.  The canonical
-weak values are contracted once from the same ``(path, spin)`` constants.
-The 4x4 joint algebra of :mod:`cheshire.qcore` and
-:mod:`cheshire.elements` is not on either route; it serves
-:func:`cheshire.weak.weak_value` for arbitrary operators and is the
-independent reference the tests check both against.
+Every element is block-diagonal in path, so the readout needs only each
+path's two spin amplitudes: the phase is a per-path scalar, the insertion
+multiplies one path's spin diagonal by c + i s sigma_z, and the recombiner
+plus spin filter one fixed contraction whose 1/sqrt(2) factors are folded
+into exact powers of two.  One map, ``_factor``, gives every insertion as
+``(path, c, s)``: an absorber is (sqrt(T), 0), a magnet its truncation's
+row of ``_ROTATION``, and no insertion the identity (1, 0).  One formula,
+:func:`_readings`, reads the ports out in real arithmetic with only
+``+ - *``: :func:`run_batch` on a whole grid's arrays (each sweep is one
+call), :func:`run` on one point's Python floats, with the same bits as its
+row, both with the phase's cosine and sine from :mod:`math`.  The witness
+of :mod:`cheshire.analysis` takes :func:`run`'s readout at each row of
+``_ROTATION``, with no scenario built; the scan reads all three rows over
+its grid in one :func:`_zero_phase` pass.  The canonical weak values are
+contracted once from the same ``(path, spin)`` constants.  The 4x4 joint
+algebra of :mod:`cheshire.qcore` and :mod:`cheshire.elements` is not on
+either route; it serves :func:`cheshire.weak.weak_value` for arbitrary
+operators and is the independent reference the tests check both against.
 """
 
 from __future__ import annotations
@@ -160,11 +156,6 @@ def postselection_state() -> JointState:
     """The post-selected state, (1/2, -1/2, 1/2, -1/2) in the fixed joint basis."""
     return JointState(_POSTSELECTED.reshape(4))
 
-# Phase shifter: exp(-i chi/2) on path I, exp(+i chi/2) on path II.
-_HALF_PHASE = np.array([-0.5j, 0.5j])
-
-# i times the diagonal of sigma_z, indexed by spin.
-_I_SIGMA_Z = np.array([1j, -1j])
 
 # The rotation's spin diagonal is c + i s sigma_z; each truncation policy
 # gives (c, s) for one angle or an array of angles.  The 2x2 matrices of
@@ -191,50 +182,60 @@ def _factor(insertion: Insertion, alpha: np.ndarray | None = None) -> tuple:
     return insertion.path, c, s
 
 
-# Recombiner: the O port takes path I + path II, the H port path I - path II.
-_RECOMBINE = np.array([[1.0], [-1.0]])
-
-# Port weights of the readout [filtered O, O, H]: the filter's and the
-# recombiner's 1/sqrt(2) factors, squared, as exact powers of two.
-_PORT_WEIGHTS = np.array([0.25, 0.5, 0.5])
-
-
 def _readout(chi: np.ndarray, path: Path, c, s, alpha: np.ndarray | None) -> np.ndarray:
     """The one array pass: ``(N, 3)`` readings, columns as :class:`Detector`.
 
     Row n has phase ``chi[n]`` and, on ``path``, the spin diagonal
     c + i s sigma_z of :func:`_factor`; ``c`` and ``s`` are scalars or one
-    value per row.  ``alpha`` only names a non-finite row n in the
-    ValueError, as ``alpha[n % alpha.size]``.  Callers hold
+    value per row.  This is :func:`_readings` on arrays, with the phase's
+    cosine and sine from :mod:`math`, as :func:`_readout_one` takes them.
+    ``alpha`` only names a non-finite row n in the ValueError, as
+    ``alpha[n % alpha.size]``.  Callers hold
     ``np.errstate(over="ignore", invalid="ignore")``, since a truncated
-    rotation at a huge angle overflows.  :func:`_zero_phase` has its chi = 0 bits.
+    rotation at a huge angle overflows.
     """
-    amp = _PREPARED * np.exp(np.multiply.outer(chi, _HALF_PHASE))[:, :, np.newaxis]
-    factor = np.multiply.outer(s, _I_SIGMA_Z)
-    factor += np.asarray(c)[..., np.newaxis]  # in place: one (N, 2) temporary fewer
-    amp[:, path.value] *= factor
-    del factor  # freed before the ports are built, which is the peak on a long grid
-
-    # ports[n, port, spin]: the filtered O amplitude (times 2, in the
-    # spin-up slot), then the O and H ports (times sqrt(2)).
-    ports = np.zeros((len(amp), 3, 2), dtype=complex)
-    np.add(amp[:, :1], _RECOMBINE * amp[:, 1:], out=ports[:, 1:])
-    np.subtract(ports[:, 1, 0], ports[:, 1, 1], out=ports[:, 0, 0])
-    readings = np.square(ports.view(float)).sum(axis=2) * _PORT_WEIGHTS
-
+    half = memoryview(chi / 2.0)  # iterates as Python floats, with no list of them
+    re, im = (np.fromiter(map(f, half), float, len(half)) * 0.5 for f in (math.cos, math.sin))
+    readings = np.stack(_readings(path, re, im, c, s), axis=-1)
     if not np.isfinite(readings).all():
         i = int(np.argmin(np.isfinite(readings).all(axis=1)))
         raise _not_finite(float(chi[i]), None if alpha is None else float(alpha[i % alpha.size]))
     return readings
 
 
-def _zero_phase(path: Path, c, s) -> tuple:
-    """``(O_selected, O_unselected, H)`` at chi = 0 in real arithmetic, for floats or arrays.
+def _readings(path: Path, re, im, c, s) -> tuple:
+    """``(O_selected, O_unselected, H)`` in real arithmetic: only ``+ - *``, for floats or arrays.
 
-    There each prepared amplitude is ±1/2 with imaginary part +0, so each
-    complex operation of :func:`_readout` is one rounded real operation.  These
-    are those, in its order, with its bits (a non-finite reading may read inf
-    for nan).  Only ``+ - *``, so floats and arrays run the same code.
+    Behind the phase shifter path I holds ``re - i im`` = exp(-i chi/2)/2 on
+    both spins, path II ``re + i im`` up and its negative down.  The
+    insertion multiplies ``path``'s spin up by c + i s and spin down by
+    c - i s.  O takes I + II and H takes I - II per spin, the filter O up -
+    O down; each port sums its squares in one order (see :func:`_norm`).
+    """
+    p, q, r, t = re * c, im * s, re * s, im * c
+    cp, cm, sp, sm = p + q, p - q, r + t, r - t
+    if path is Path.I:  # I up (cp, sm), down (cm, -sp)
+        o = (cp + re, sm + im, cm - re, sp + im)  # O down's im negated: only squared or added
+        h = (cp - re, sm - im, cm + re, im - sp)
+        f_re, f_im = o[0] - o[2], o[1] + o[3]
+    else:  # II up (cm, sp), down (-cp, sm)
+        o = (cm + re, sp - im, re - cp, sm - im)
+        h = (re - cm, sp + im, cp + re, sm + im)  # H's im negated: only squared
+        f_re, f_im = o[0] - o[2], o[1] - o[3]
+    return (f_re * f_re + f_im * f_im) * 0.25, _norm(*o) * 0.5, _norm(*h) * 0.5
+
+
+def _norm(up_re, up_im, down_re, down_im):
+    """A port's squared norm, up before down and real before imaginary."""
+    return ((up_re * up_re + up_im * up_im) + down_re * down_re) + down_im * down_im
+
+
+def _zero_phase(path: Path, c, s) -> tuple:
+    """:func:`_readings` at chi = 0, ``(re, im) = (0.5, 0.0)``, with its bits, for floats or arrays.
+
+    There each prepared amplitude is ±1/2 with imaginary part +0: the products
+    by ``re`` and ``im`` are exact halvings and signed zeros, left out here.
+    It is non-finite on the same rows; the scan takes it, for half the operations.
     """
     a, b = 0.5 * c, 0.5 * s
     up, down = a + 0.5, 0.5 - a
@@ -249,42 +250,14 @@ def _zero_phase(path: Path, c, s) -> tuple:
 def _readout_one(chi: float, path: Path, c, s, alpha: float | None) -> tuple[float, float, float]:
     """One row of :func:`_readout` in Python scalars, bit for bit, from that row's arguments.
 
-    At chi = 0 (``im == 0.0``) this is :func:`_zero_phase` on Python floats.
-    Otherwise the amplitudes are Python complex numbers.  Sums, differences,
-    real scalings and a product with a real factor (s = 0) round alike here
-    and in the array kernel.  A magnet's ``c ± i s`` times a complex
-    amplitude goes through ``np.multiply``, whose complex loop may fuse a
-    multiply-add that Python's ``*`` does not, and each port sums its
-    squares in numpy's order (see :func:`_port_norm`).
+    :func:`_readings` on Python floats (``float()`` turns an exact rotation's
+    ``np.float64`` into one), with the same :mod:`math` cosine and sine.
     """
     half = chi / 2.0
-    im = 0.5 * math.sin(half)
-    if im == 0.0:
-        o_selected, o_unselected, h = _zero_phase(path, float(c), float(s))  # not np.float64
-    else:
-        re = 0.5 * math.cos(half)
-        # amp[path][spin] of the prepared state behind the phase shifter
-        amp = [[complex(re, -im), complex(re, -im)], [complex(re, im), complex(-re, -im)]]
-        p = path.value
-        spins = amp[p]
-        if s == 0.0:
-            amp[p] = [spins[0] * complex(c, s), spins[1] * complex(c, -s)]
-        else:
-            with np.errstate(over="ignore", invalid="ignore"):
-                amp[p] = np.multiply(spins, [complex(c, s), complex(c, -s)]).tolist()
-        (i_up, i_down), (ii_up, ii_down) = amp
-        o_up, o_down = i_up + ii_up, i_down + ii_down
-        o_selected = _port_norm(o_up - o_down, 0j) * 0.25
-        o_unselected = _port_norm(o_up, o_down) * 0.5
-        h = _port_norm(i_up - ii_up, i_down - ii_down) * 0.5
-    if not (math.isfinite(o_selected) and math.isfinite(o_unselected) and math.isfinite(h)):
+    readings = _readings(path, 0.5 * math.cos(half), 0.5 * math.sin(half), float(c), float(s))
+    if not all(map(math.isfinite, readings)):
         raise _not_finite(chi, alpha)
-    return o_selected, o_unselected, h
-
-
-def _port_norm(up: complex, down: complex) -> float:
-    """Sum of the squared parts of a port, in the order numpy's row sum takes."""
-    return ((up.real * up.real + up.imag * up.imag) + down.real * down.real) + down.imag * down.imag
+    return readings
 
 
 def _not_finite(chi: float, alpha: float | None) -> ValueError:
@@ -311,9 +284,10 @@ def run_batch(template: Scenario, *, chi_rad=None, alpha_rad=None) -> np.ndarray
         O_UNSELECTED = sum over spin of |a_I + a_II|^2 / 2
         H            = sum over spin of |a_I - a_II|^2 / 2
 
-    The grids are checked here; the arithmetic is the array kernel that the
-    truncation scan shares.  Raises ValueError when a reading is not finite
-    (a truncated rotation at a huge angle overflows).
+    The grids are checked here; the arithmetic is :func:`_readings` on
+    arrays, which :func:`run` applies to Python floats.  Raises ValueError
+    when a reading is not finite (a truncated rotation at a huge angle
+    overflows).
     """
     ins = template.insertion
     magnet = isinstance(ins, Magnet)

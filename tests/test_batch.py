@@ -19,8 +19,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cheshire import elements, experiment, qcore
-from cheshire.analysis import _o_selected_by_truncation, cheshire_witness
+from cheshire import analysis, elements, experiment, qcore
+from cheshire.analysis import _o_selected_by_truncation, cheshire_witness, truncation_scan
 from cheshire.elements import Truncation
 from cheshire.experiment import (
     _ROTATION,
@@ -30,6 +30,7 @@ from cheshire.experiment import (
     Scenario,
     _factor,
     _readout,
+    _readings,
     _readout_one,
     _zero_phase,
     count_rate,
@@ -88,8 +89,8 @@ def test_agrees_with_kronecker_route(scenario):
 @settings(max_examples=100, deadline=None)
 @given(scenarios, phases, angles)
 def test_sweeps_equal_per_point_runs(template, chi_values, alpha_values):
-    # run reads each point out in Python scalars, in the kernel's own rounding (the
-    # fused complex product, numpy's summation order), so the two routes agree exactly
+    # run reads each point out by the kernel's own real formula on Python floats,
+    # so the two routes agree exactly
     expected = [
         rec
         for chi in chi_values
@@ -166,9 +167,10 @@ def test_run_reads_out_the_kernel_row_bit_for_bit(scenario, scale):
 
 
 class TestZeroPhase:
-    """At chi = 0 every prepared amplitude is real, and ``_zero_phase`` reads
-    the three ports out in real arithmetic, for the scan's arrays and for the
-    scalar readout's floats: it must give the complex kernel's bits."""
+    """``_readings`` reads the three ports out in real arithmetic, for the
+    array pass and for the scalar readout alike.  At chi = 0 every prepared
+    amplitude is real, and ``_zero_phase``, which the truncation scan takes,
+    must give its bits there."""
 
     @settings(max_examples=300, deadline=None)
     @given(paths, st.lists(st.floats(-1e200, 1e200), min_size=1, max_size=8))
@@ -194,23 +196,44 @@ class TestZeroPhase:
         # the scan names the kernel's first non-finite row
         assert _outcome(lambda: _o_selected_by_truncation(path, alpha).ravel()) == stacked
 
-    # the one formula on floats (the scalar readout) and on arrays (the scan)
+    # each formula on floats (the scalar readout) and on arrays (the array
+    # pass, the scan): so run equals run_batch with no numpy arithmetic of its own
     @settings(max_examples=1000, deadline=None)
-    @given(paths, st.floats(allow_nan=False), st.floats(allow_nan=False))
-    @example(Path.I, -math.inf, 0.5)
-    @example(Path.II, 0.75, math.inf)
-    @example(Path.I, -0.0, -0.0)
-    @example(Path.II, 0.0, -math.inf)
-    def test_floats_are_the_array_elements_bit_for_bit(self, path, c, s):
-        with np.errstate(over="ignore", invalid="ignore"):
-            array = _zero_phase(path, np.array([c]), np.array([s]))
-        floats = _zero_phase(path, c, s)
-        assert [type(x) for x in floats] == [float] * 3
-        assert _bits_or_nan(floats) == _bits_or_nan([x[0] for x in array])
+    @given(paths, *[st.floats(allow_nan=False)] * 4)
+    @example(Path.I, 0.5, 0.0, -math.inf, 0.5)
+    @example(Path.II, 0.5, -0.0, 0.75, math.inf)
+    @example(Path.I, -0.0, 0.0, -0.0, -0.0)
+    @example(Path.II, 0.25, -0.25, 0.0, -math.inf)
+    @example(Path.I, math.inf, 0.5, 1.0, 0.0)
+    @example(Path.II, -0.5, -math.inf, 0.5, -0.0)
+    def test_floats_are_the_array_elements_bit_for_bit(self, path, re, im, c, s):
+        for readout, args in [(_zero_phase, (c, s)), (_readings, (re, im, c, s))]:
+            with np.errstate(over="ignore", invalid="ignore"):
+                array = readout(path, *[np.array([x]) for x in args])
+            floats = readout(path, *args)
+            assert [type(x) for x in floats] == [float] * 3
+            assert _bits_or_nan(floats) == _bits_or_nan([x[0] for x in array])
+
+    # the signs folded into _readings' sums are exact: the formula written
+    # out with every amplitude's own sign, nothing folded, gives its bits
+    @settings(max_examples=1000, deadline=None)
+    @given(paths, *[st.floats(allow_nan=False)] * 4)
+    @example(Path.I, 0.5, 0.0, -math.inf, 0.5)
+    @example(Path.II, 0.25, -0.25, math.inf, -0.0)
+    def test_readings_are_the_unfolded_formula_bit_for_bit(self, path, re, im, c, s):
+        amp = [(re, -im, re, -im), (re, im, -re, -im)]  # [path]: up and down, (real, imaginary) each
+        x, y, u, v = amp[path.value]
+        amp[path.value] = (x * c - y * s, x * s + y * c, u * c + v * s, v * c - u * s)
+        o = [a + b for a, b in zip(*amp)]
+        h = [a - b for a, b in zip(*amp)]
+        f_re, f_im = o[0] - o[2], o[1] - o[3]
+        norm = lambda a, b, c, d: ((a * a + b * b) + c * c) + d * d  # noqa: E731
+        expected = [(f_re * f_re + f_im * f_im) * 0.25, norm(*o) * 0.5, norm(*h) * 0.5]
+        assert _bits_or_nan(_readings(path, re, im, c, s)) == _bits_or_nan(expected)
 
     # any (c, s), not only a rotation's: c = -inf is a quadratic one past
-    # |alpha| ~ 3.8e154, and the real form at chi = 0 must refuse each row
-    # where numpy's complex loop meets inf * 0, and keep the bits elsewhere
+    # |alpha| ~ 3.8e154, and the scalar readout must refuse each row the
+    # array pass refuses, chi = 0 and -0 included, and keep the bits elsewhere
     @settings(max_examples=1000, deadline=None)
     @given(
         paths,
@@ -228,23 +251,53 @@ class TestZeroPhase:
             row = _outcome(lambda: _readout(np.array([chi]), path, c, s, np.array([0.5]))[0])
         assert _outcome(lambda: _readout_one(chi, path, c, s, 0.5)) == row
 
-    def test_chi_zero_readouts_make_no_numpy_multiply(self, monkeypatch):
-        class Multiplied(Exception):
-            pass
+    @pytest.fixture
+    def real_readout(self, monkeypatch):
+        """numpy without ``multiply`` or ``exp`` for both modules, and the dtypes
+        of every argument and result of each readout formula called."""
 
-        class NumpyWithoutMultiply:
+        class NumpyWithoutComplexKernel:
             def __getattr__(self, name):
                 return getattr(np, name)
 
             def multiply(self, *args, **kwargs):
-                raise Multiplied
+                raise AssertionError("the readout called np.multiply or np.exp")
 
-        monkeypatch.setattr(experiment, "np", NumpyWithoutMultiply())
-        cheshire_witness(0.3)
-        for path in Path:
-            run(Scenario(insertion=Magnet(path, 0.3)))
-            with pytest.raises(Multiplied):
-                run(Scenario(insertion=Magnet(path, 0.3), chi_rad=0.5))
+            exp = multiply
+
+        dtypes = []
+
+        def spy(formula):
+            def recorded(path, *args):
+                readings = formula(path, *args)
+                dtypes.append({np.asarray(x).dtype for x in (*args, *readings)})
+                return readings
+
+            return recorded
+
+        for module in (experiment, analysis):
+            monkeypatch.setattr(module, "np", NumpyWithoutComplexKernel())
+        monkeypatch.setattr(experiment, "_readings", spy(_readings))
+        monkeypatch.setattr(analysis, "_zero_phase", spy(_zero_phase))
+        return dtypes
+
+    # every readout is real arithmetic: no complex phase factor, no complex
+    # product, and only + - * on float64 operands, so no complex intermediate
+    @pytest.mark.parametrize("chi", [0.0, 0.5])
+    @pytest.mark.parametrize("path", list(Path))
+    def test_no_readout_makes_a_numpy_multiply_or_exp(self, real_readout, path, chi):
+        template = Scenario(insertion=Magnet(path, 0.3), chi_rad=chi)
+        run(template)
+        run_batch(template, chi_rad=[chi, 1.0, -2.0])
+        run_batch(template, alpha_rad=[0.1, 0.3, 2.0])
+        sweep_chi(template, [chi, 1.0])
+        assert real_readout == [{np.dtype(float)}] * 4
+
+    @pytest.mark.parametrize("path", list(Path))
+    def test_scan_and_witness_make_no_numpy_multiply_or_exp(self, real_readout, path):
+        truncation_scan(path, np.geomspace(0.01, 0.3, 10))
+        cheshire_witness(0.3)  # one readout per truncation
+        assert real_readout == [{np.dtype(float)}] * (1 + 3)
 
     # an exact rotation's (c, s) are np.float64: run and the witness must
     # still hand back Python floats, which count_rate takes without numpy
