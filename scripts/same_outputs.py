@@ -69,14 +69,12 @@ CONFIGS = {
 WALL_TIME = re.compile(rb" in \d+\.\d+s$", re.MULTILINE)
 
 # Commands with bad input, each refused with one error line: a value, a
-# missing or stray field, a grid bound, an unreadable config file, magnets
-# whose readings overflow at chi = 0 (in the scan's one array pass, whose
-# first bad row is a quadratic one on path II and a linear one on path I,
-# and in run's scalar readout, a quadratic magnet and a linear one whose
-# O_selected stays finite) and at chi = 0.5 (in run's scalar readout and
-# in a sweep's array pass, which names its first bad angle), and on both
-# parse routes (the top-level parser's and a subcommand's own) a missing or
-# unknown command and an unknown flag.
+# missing or stray field, a grid bound, an unreadable config file, angles
+# past the physical domain |alpha| <= 1e6 rad (a scan's grid on each path,
+# run's magnet at chi = 0 and 0.5, and a sweep's alpha grid, which names its
+# first bad angle; their readings once overflowed), a scale just below the
+# domain's 1e-12 cps, and on both parse routes (the top-level parser's and
+# a subcommand's own) a missing or unknown command and an unknown flag.
 BAD_INPUT = [
     ["run", "--chi-rad", "nan"],
     ["run", "--insertion", "magnet", "--path", "II"],
@@ -92,6 +90,7 @@ BAD_INPUT = [
      "--chi-rad", "0.5"],
     ["sweep", "--insertion", "magnet", "--path", "II", "--truncation", "quadratic", "--alpha-rad", "0.3",
      "--vary", "alpha", "--start", "1", "--stop", "3e154", "--points", "40", "--chi-rad", "0.5"],
+    ["run", "--scale-ref-cps", "1e-13"],
     [],
     ["bogus"],
     ["sweep", "--vary", "chi", "--bogus"],
@@ -133,6 +132,9 @@ def commands() -> list[tuple[list[str], str | None]]:
         (["run", "--config", "partial.cfg", "--path", "II", "--alpha-deg", "20"], None),
         (["sweep", "--config", "magnet.cfg", "--vary", "alpha", "--points", "25",
           "--csv", "sweep_config.csv"], "sweep_config.csv"),
+        # the corner of the domain where the readings and rates are largest
+        (["run", "--insertion", "magnet", "--path", "I", "--truncation", "quadratic", "--alpha-rad", "1e6",
+          "--chi-rad", "0.5", "--scale-ref-cps", "1e12"], None),
     ]
     runs += [(argv, None) for argv in BAD_INPUT]
     return runs

@@ -7,6 +7,9 @@ have no effect there ("the spin is not on that path").  The exact and
 quadratic operators both produce an intensity deficit of order alpha^2.
 Whether one sees the effect is therefore purely a question of expansion
 order, which the scan quantifies by fitting error exponents.
+
+Angles lie in (0, 1e6] rad and scales in [1e-12, 1e12] cps, inside the
+input domain of :mod:`cheshire.experiment`, where nothing overflows.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ from .experiment import (
     _ROTATION,
     Magnet,
     Scenario,
-    _not_finite,
     _readout_one,
     _zero_phase,
     closed_form_o,
@@ -87,22 +89,11 @@ def _slope(log_x: np.ndarray, err: np.ndarray, floor: float) -> float:
 
 
 def _o_selected_by_truncation(path: Path, alpha: np.ndarray) -> np.ndarray:
-    """O_SELECTED at chi = 0 behind a magnet on ``path``: one row per truncation, one pass.
-
-    The rows of ``_ROTATION`` stack in ``Truncation`` order, and all three
-    readings are checked, so an overflow names the first bad linear angle
-    before any quadratic one, as one run_batch call per truncation would.
-    """
+    """O_SELECTED at chi = 0 behind a magnet on ``path``: one row per truncation, in one pass."""
     c, s = np.empty((2, len(_ROTATION), alpha.size))
-    with np.errstate(over="ignore", invalid="ignore"):
-        for row, rotation in enumerate(_ROTATION.values()):
-            c[row], s[row] = rotation(alpha)
-        o_selected, o_unselected, h = _zero_phase(path, c, s)
-    finite = np.isfinite((o_selected, o_unselected, h))
-    if not finite.all():
-        i = int(np.argmin(finite.all(axis=0).ravel()))
-        raise _not_finite(0.0, float(alpha[i % alpha.size]))
-    return o_selected
+    for row, rotation in enumerate(_ROTATION.values()):
+        c[row], s[row] = rotation(alpha)
+    return _zero_phase(path, c, s)[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,13 +112,13 @@ class TruncationReport:
 def truncation_scan(path: Path, alpha_grid) -> TruncationReport:
     """Scan the chi = 0 magnet scenario over ``alpha_grid`` for all three truncations.
 
-    The grid is a one-dimensional array of at least 10 finite, strictly
-    positive real angles.  The three truncations are read out in one pass
+    The grid is a one-dimensional array of at least 10 real angles in
+    (0, 1e6] rad.  The three truncations are read out in one pass
     over the grid.  The fitted exponents are log-log slopes of
     |I_truncated - I_exact| against alpha.
     """
     _require_member("path", path, Path)
-    grid = _require_grid("alpha_grid", alpha_grid, "be positive")
+    grid = _require_grid("alpha_grid", alpha_grid, "lie in (0, 1e6]")
     if grid.size < 10:
         raise ValueError(f"alpha_grid must have at least 10 points, got {grid.size}")
 
@@ -166,11 +157,11 @@ def cheshire_witness(alpha_rad: float) -> CheshireDeficits:
     read out in Python floats by the readout of
     :func:`cheshire.experiment.run`, whose bits at chi = 0 the scan's
     special case keeps: they are those of the last point of a
-    :func:`truncation_scan` whose grid ends at ``alpha_rad``.
+    :func:`truncation_scan` whose grid ends at ``alpha_rad``, in (0, 1e6].
     """
-    alpha = _require_real("alpha_rad", alpha_rad, "be positive")
+    alpha = _require_real("alpha_rad", alpha_rad, "lie in (0, 1e6]")
     exact, linear, quadratic = (
-        I_REF_NORM - _readout_one(0.0, Path.II, *rotation(alpha), alpha)[0]
+        I_REF_NORM - _readout_one(0.0, Path.II, *rotation(alpha))[0]
         for rotation in _ROTATION.values()
     )
     return CheshireDeficits(
@@ -272,7 +263,7 @@ def reproduce_benchmark_table(
     combined sigma adds the calibration-propagated theory uncertainty and
     the measured uncertainty in quadrature.
     """
-    scale = _require_real("scale_ref_cps", scale_ref_cps, "be positive")
+    scale = _require_real("scale_ref_cps", scale_ref_cps, "lie in [1e-12, 1e12]")
 
     theory_norms = {
         "I_ref": I_REF_NORM,

@@ -70,8 +70,8 @@ def _scenario(fields: dict[str, object]) -> tuple[Scenario, float]:
     """The scenario and count-rate scale that parsed fields (radian form) describe.
 
     A missing field is unset.  Only which fields the insertion requires and
-    allows is checked here; the value rules (finite angles, T in [0, 1], a
-    positive scale) are those of :class:`Scenario` and of the count rate.
+    allows is checked here; the value rules (the input domain, T in [0, 1])
+    are those of :class:`Scenario` and of the count rate.
     """
     insertion = fields.get("insertion", "none")
     uses = _INSERTION_FIELDS[insertion]
@@ -85,7 +85,7 @@ def _scenario(fields: dict[str, object]) -> tuple[Scenario, float]:
     cls = _INSERTIONS[insertion]
     ins = cls and cls(**{f: fields[f] for f in uses if f in fields})
     scale = fields.get("scale_ref_cps", DEFAULT_SCALE_REF_CPS)
-    return Scenario(ins, fields.get("chi_rad", 0.0)), _require_real("scale_ref_cps", scale, "be positive")
+    return Scenario(ins, fields.get("chi_rad", 0.0)), _require_real("scale_ref_cps", scale, "lie in [1e-12, 1e12]")
 
 
 # Config key -> (scenario field, how its text converts).  The conversion

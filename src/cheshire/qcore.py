@@ -51,6 +51,11 @@ class Path(Enum):
     II = 1
 
 
+# The physical input domain, where no reading or rate overflows: a spin rotation
+# of at most _ALPHA_MAX rad and a count-rate scale in [1 / _SCALE_MAX, _SCALE_MAX] cps.
+_ALPHA_MAX = 1e6
+_SCALE_MAX = 1e12
+
 # Input rules, keyed by the rule as its error states it.  Each allows the
 # finite floats in [low, high] except one value; NaN excludes nothing.
 _MAX = sys.float_info.max
@@ -61,6 +66,9 @@ _RULES = {
     "be finite and nonzero": (-_MAX, _MAX, 0.0),
     "lie in [0, 1]": (0.0, 1.0, math.nan),
     "lie in [0, 1)": (0.0, 1.0, 1.0),
+    "lie in [-1e6, 1e6]": (-_ALPHA_MAX, _ALPHA_MAX, math.nan),
+    "lie in (0, 1e6]": (0.0, _ALPHA_MAX, 0.0),
+    "lie in [1e-12, 1e12]": (1.0 / _SCALE_MAX, _SCALE_MAX, math.nan),
 }
 
 

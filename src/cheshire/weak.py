@@ -231,6 +231,12 @@ def estimate_sigma_pi(
     reported as an error (inconsistent inputs); smaller negatives are
     clamped to zero.
 
+    It assumes Im<sigma_z Pi_j>_w = 0, as for the standard pair, unchecked.  A
+    complex one leaves its first-order term in I_mag/I_ref, and the squared
+    magnitude is off by -4 Im / alpha, growing as alpha shrinks: at Im = -0.24
+    and alpha = 0.01 the estimate is 9.8 for a magnitude of 0.97, with no
+    warning; at Im = +0.24 the input is refused as inconsistent.
+
     Uncertainties on the two intensities propagate first-order, through the
     ratio I_mag/I_ref, onto the squared magnitude; when the estimate is
     strictly positive that variance is mapped through the square root, and

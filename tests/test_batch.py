@@ -12,6 +12,7 @@ which must be the element factories' own spin diagonal.
 
 import dataclasses
 import math
+import re
 import warnings
 
 import numpy as np
@@ -40,7 +41,7 @@ from cheshire.experiment import (
     sweep_alpha,
     sweep_chi,
 )
-from cheshire.qcore import Path
+from cheshire.qcore import _ALPHA_MAX, Path
 
 # Agreement bound, in units of the spacing of the largest reading.
 ULPS = 8
@@ -105,13 +106,13 @@ def test_sweeps_equal_per_point_runs(template, chi_values, alpha_values):
         assert sweep_alpha(template, alpha_values, 20.0) == expected
 
 
-# The whole scenario space: any finite angle or phase, so truncated rotations
-# at huge angles overflow and both routes must raise.
+# The whole scenario space: any angle of the domain, any finite phase.
 any_float = st.floats(allow_nan=False, allow_infinity=False)
+any_angle = st.floats(-_ALPHA_MAX, _ALPHA_MAX)
 any_insertions = st.one_of(
     st.none(),
     st.builds(Absorber, paths, st.floats(0.0, 1.0)),
-    st.builds(Magnet, paths, any_float, st.sampled_from(list(Truncation))),
+    st.builds(Magnet, paths, any_angle, st.sampled_from(list(Truncation))),
 )
 any_scenarios = st.builds(Scenario, any_insertions, any_float)
 
@@ -133,12 +134,7 @@ def test_factor_is_the_factories_spin_diagonal(insertion):
     expected = np.eye(4, dtype=complex)
     i = 2 * path.value
     expected[i, i], expected[i + 1, i + 1] = complex(c, s), complex(c, -s)
-    if np.isfinite(expected).all():
-        assert (insertion_operator(insertion).matrix == expected).all()
-    else:
-        # the quadratic c overflows past |alpha| ~ 1.3e154; the factory refuses that matrix
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="finite"):
-            insertion_operator(insertion)
+    assert (insertion_operator(insertion).matrix == expected).all()
 
 
 def _bits_or_nan(values):
@@ -146,24 +142,70 @@ def _bits_or_nan(values):
     return ["nan" if math.isnan(x) else np.float64(x).view(np.int64) for x in values]
 
 
-def _outcome(readout):
-    """The bits of the three readings, or the ValueError text."""
-    try:
-        return np.array(readout(), dtype=float).view(np.int64).tolist()
-    except ValueError as exc:
-        return str(exc)
-
-
 @settings(max_examples=1000, deadline=None)
 @given(st.one_of(scenarios, any_scenarios), st.floats(1.0, 100.0))
 def test_run_reads_out_the_kernel_row_bit_for_bit(scenario, scale):
-    def kernel_row():
-        row = run_batch(scenario)[0]
-        count_rate(row, scale)  # a finite row whose rates overflow: run raises as count_rate does
-        return row
+    expected = run_batch(scenario)[0].tolist()
+    records = run(scenario, scale)
+    assert _bits_or_nan([records[det].intensity_norm for det in Detector]) == _bits_or_nan(expected)
+    rates = count_rate(np.array(expected), scale).tolist()
+    assert _bits_or_nan([records[det].intensity_cps for det in Detector]) == _bits_or_nan(rates)
 
-    expected = _outcome(kernel_row)
-    assert _outcome(lambda: [run(scenario, scale)[det].intensity_norm for det in Detector]) == expected
+
+# At the corners of the domain every reading and rate is finite, with no
+# floating-point flag raised: the largest rate is about 1.6e34 cps.
+@pytest.mark.parametrize("scale", [1e-12, 1e12])
+def test_every_reading_and_rate_is_finite_at_the_corners_of_the_domain(scale):
+    corners = [-_ALPHA_MAX, _ALPHA_MAX]
+    with np.errstate(all="raise"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = []
+        for path in Path:
+            for truncation in Truncation:
+                template = Scenario(Magnet(path, _ALPHA_MAX, truncation))
+                for alpha in corners:
+                    for chi in (0.0, 0.5):
+                        records = run(Scenario(Magnet(path, alpha, truncation), chi), scale).values()
+                        values += [x for r in records for x in (r.intensity_norm, r.intensity_cps)]
+                readings = run_batch(template, chi_rad=[0.0, 0.5, 0.0, 0.5], alpha_rad=corners * 2)
+                values += [*readings.ravel(), *count_rate(readings, scale).ravel()]
+                for records in (sweep_chi(template, [0.0, 0.5], scale), sweep_alpha(template, corners, scale)):
+                    values += [x for r in records for x in (r.intensity_norm, r.intensity_cps)]
+            report = truncation_scan(path, np.geomspace(0.01, _ALPHA_MAX, 20))
+            values += [*report.i_exact, *report.i_linear, *report.i_quadratic]
+            values += [report.error_exponent_linear, report.error_exponent_quadratic]
+        witness = cheshire_witness(_ALPHA_MAX)
+        values += [witness.deficit_linear, witness.deficit_quadratic, witness.deficit_exact]
+    assert all(map(math.isfinite, values))
+    assert max(values) == pytest.approx(1.5625e34 if scale == 1e12 else 3.90625e21)
+
+
+# Past the domain, every route refuses the angle or the scale with the domain's message.
+past_the_domain = st.floats(allow_nan=False, allow_infinity=False).filter(lambda x: abs(x) > _ALPHA_MAX)
+past_the_scales = st.floats(allow_nan=False, allow_infinity=False).filter(lambda x: not 1e-12 <= x <= 1e12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(past_the_domain, past_the_scales, paths, st.sampled_from(list(Truncation)))
+def test_the_rest_of_the_float_range_is_refused(alpha, scale, path, truncation):
+    magnet = Scenario(Magnet(path, 0.3, truncation))
+    angle = re.escape(f"must lie in [-1e6, 1e6], got {alpha!r}")
+    with pytest.raises(ValueError, match=f"^alpha_rad {angle}$"):
+        Magnet(path, alpha, truncation)
+    with pytest.raises(ValueError, match=f"^alpha_rad entries {angle} at index 1$"):
+        run_batch(magnet, alpha_rad=[0.3, alpha])
+    with pytest.raises(ValueError, match=f"^alpha_values entries {angle} at index 0$"):
+        sweep_alpha(magnet, [alpha])
+    scan = re.escape(f"must lie in (0, 1e6], got {abs(alpha)!r}")
+    with pytest.raises(ValueError, match=f"^alpha_rad {scan}$"):
+        cheshire_witness(abs(alpha))
+    with pytest.raises(ValueError, match=f"^alpha_grid entries {scan} at index 10$"):
+        truncation_scan(path, np.r_[np.geomspace(0.01, 0.3, 10), abs(alpha)])
+    rule = re.escape(f"scale_ref_cps must lie in [1e-12, 1e12], got {scale!r}")
+    for refuse in (lambda: run(magnet, scale), lambda: sweep_chi(magnet, [0.0], scale),
+                   lambda: sweep_alpha(magnet, [0.3], scale), lambda: count_rate(0.25, scale)):
+        with pytest.raises(ValueError, match=f"^{rule}$"):
+            refuse()
 
 
 class TestZeroPhase:
@@ -173,28 +215,21 @@ class TestZeroPhase:
     must give its bits there."""
 
     @settings(max_examples=300, deadline=None)
-    @given(paths, st.lists(st.floats(-1e200, 1e200), min_size=1, max_size=8))
+    @given(paths, st.lists(any_angle, min_size=1, max_size=8))
     def test_no_phase_is_zero_phase_bit_for_bit(self, path, alpha):
         # the scan's stack of all three rotation rows over one grid of angles
         alpha = np.array(alpha)
         c, s = np.empty((2, len(_ROTATION), alpha.size))
-        with np.errstate(over="ignore", invalid="ignore"):
-            for row, rotation in enumerate(_ROTATION.values()):
-                c[row], s[row] = rotation(alpha)
-            c, s = c.ravel(), s.ravel()
-            real = np.transpose(_zero_phase(path, c, s))
-            kernel = [_outcome(lambda: _readout(np.zeros(1), path, c[n], s[n], None)[0]) for n in range(c.size)]
-            stacked = _outcome(lambda: _readout(np.zeros(c.size), path, c, s, alpha)[:, 0])
-
-        def real_row(n):
-            if not np.isfinite(real[n]).all():
-                raise experiment._not_finite(0.0, None)
-            return real[n]
-
-        # all three columns row by row, and the same non-finite rows
-        assert [_outcome(lambda: real_row(n)) for n in range(c.size)] == kernel
-        # the scan names the kernel's first non-finite row
-        assert _outcome(lambda: _o_selected_by_truncation(path, alpha).ravel()) == stacked
+        for row, rotation in enumerate(_ROTATION.values()):
+            c[row], s[row] = rotation(alpha)
+        c, s = c.ravel(), s.ravel()
+        real = np.transpose(_zero_phase(path, c, s))
+        kernel = [_readout(np.zeros(1), path, c[n], s[n])[0] for n in range(c.size)]
+        # all three columns row by row
+        assert [_bits_or_nan(row) for row in real] == [_bits_or_nan(row) for row in kernel]
+        # and the scan's stacked pass
+        stacked = _readout(np.zeros(c.size), path, c, s)[:, 0]
+        assert _bits_or_nan(_o_selected_by_truncation(path, alpha).ravel()) == _bits_or_nan(stacked)
 
     # each formula on floats (the scalar readout) and on arrays (the array
     # pass, the scan): so run equals run_batch with no numpy arithmetic of its own
@@ -231,9 +266,8 @@ class TestZeroPhase:
         expected = [(f_re * f_re + f_im * f_im) * 0.25, norm(*o) * 0.5, norm(*h) * 0.5]
         assert _bits_or_nan(_readings(path, re, im, c, s)) == _bits_or_nan(expected)
 
-    # any (c, s), not only a rotation's: c = -inf is a quadratic one past
-    # |alpha| ~ 3.8e154, and the scalar readout must refuse each row the
-    # array pass refuses, chi = 0 and -0 included, and keep the bits elsewhere
+    # any (c, s), not only a rotation's, infinite ones included: the scalar
+    # readout gives each row's bits, chi = 0 and -0 included
     @settings(max_examples=1000, deadline=None)
     @given(
         paths,
@@ -248,8 +282,8 @@ class TestZeroPhase:
     @example(Path.II, 0.0, -0.0, 0.5)
     def test_scalar_readout_is_the_array_row_bit_for_bit(self, path, chi, c, s):
         with np.errstate(over="ignore", invalid="ignore"):
-            row = _outcome(lambda: _readout(np.array([chi]), path, c, s, np.array([0.5]))[0])
-        assert _outcome(lambda: _readout_one(chi, path, c, s, 0.5)) == row
+            row = _readout(np.array([chi]), path, c, s)[0]
+        assert _bits_or_nan(_readout_one(chi, path, c, s)) == _bits_or_nan(row)
 
     @pytest.fixture
     def real_readout(self, monkeypatch):
@@ -346,19 +380,16 @@ class TestRunBatch:
             run_batch(Scenario(insertion=Magnet(Path.I, 0.1)), chi_rad=[0, 1], alpha_rad=[0, 1, 2])
 
     @pytest.mark.parametrize(
-        "scenario, value",
-        [
-            (Scenario(insertion=Magnet(Path.I, 1e200, Truncation.LINEAR)), "alpha_rad=1e+200"),
-            (Scenario(insertion=Magnet(Path.II, -1e160, Truncation.QUADRATIC)), "alpha_rad=-1e+160"),
-        ],
+        "path, alpha, truncation",
+        [(Path.I, 1e200, Truncation.LINEAR), (Path.II, -1e160, Truncation.QUADRATIC)],
     )
-    def test_overflow_raises_value_error_without_warnings(self, scenario, value):
+    def test_an_angle_past_the_domain_is_refused_without_warnings(self, path, alpha, truncation):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match=value.replace("+", r"\+")):
-                run(scenario)
+            with pytest.raises(ValueError, match=re.escape(f"alpha_rad must lie in [-1e6, 1e6], got {alpha!r}")):
+                run(Scenario(insertion=Magnet(path, alpha, truncation)))
 
-    def test_overflow_names_first_bad_point(self):
+    def test_a_grid_past_the_domain_names_its_first_bad_point(self):
         template = Scenario(insertion=Magnet(Path.I, 0.0, Truncation.LINEAR))
-        with pytest.raises(ValueError, match=r"alpha_rad=1e\+300"):
+        with pytest.raises(ValueError, match=r"^alpha_rad entries must lie in .* got 1e\+300 at index 1$"):
             run_batch(template, alpha_rad=[0.1, 1e300, 1e301])

@@ -8,7 +8,9 @@ parameter anything that is not a :class:`Truncation`.  State, operator and weak-
 parameters reject anything that is not their class with a TypeError too.
 Every grid parameter takes a scalar or a one-dimensional array of real
 numbers whose entries meet its rule, and rejects anything else with a
-ValueError whose message starts with the parameter's name.
+ValueError whose message starts with the parameter's name.  A magnet's
+angle, a scan's angles and a count-rate scale have a physical domain, and
+values just past it are more rejected inputs of the same rows.
 """
 
 import math
@@ -129,6 +131,22 @@ SCALARS = [
 # Not a finite number: text is rejected even when it spells one.
 NOT_FINITE_NUMBERS = [math.nan, math.inf, -math.inf, None, "x", "0.5"]
 
+# Finite numbers past a parameter's physical domain, by (function, parameter).
+ANGLES_PAST = [1.000001e6, -1.000001e6, 1e200]
+SCALES_PAST = [5e-324, 1e-13, 1.79e308]
+PAST_THE_DOMAIN = {
+    ("Magnet", "alpha_rad"): ANGLES_PAST,
+    ("cheshire_witness", "alpha_rad"): ANGLES_PAST,
+    **{(f, p): SCALES_PAST for f, p, _ in SCALARS if p == "scale_ref_cps"},
+}
+
+# (id, parameter, call, a value it rejects) for every scalar row
+SCALAR_CASES = [
+    (f"{f}.{p}-{bad!r}", p, call, bad)
+    for f, p, call in SCALARS
+    for bad in NOT_FINITE_NUMBERS + PAST_THE_DOMAIN.get((f, p), [])
+]
+
 PATHS = [
     ("magnetic_rotation", lambda p: magnetic_rotation(p, 0.1)),
     ("absorber", lambda p: absorber(p, 0.5)),
@@ -172,10 +190,7 @@ TRUNCATIONS = [
 ]
 
 
-@pytest.mark.parametrize("bad", NOT_FINITE_NUMBERS, ids=repr)
-@pytest.mark.parametrize(
-    "parameter, call", [s[1:] for s in SCALARS], ids=[f"{f}.{p}" for f, p, _ in SCALARS]
-)
+@pytest.mark.parametrize("parameter, call, bad", [c[1:] for c in SCALAR_CASES], ids=[c[0] for c in SCALAR_CASES])
 def test_scalar_parameter_rejects_what_is_not_a_finite_number(parameter, call, bad):
     with pytest.raises(ValueError) as info:
         call(bad)
@@ -240,11 +255,28 @@ NOT_REAL_GRIDS = [
     [[10**30, 1], [2, 3]],
 ]
 
+# Grids with an entry past the physical domain, by id: the last two once
+# overflowed the scan's readout at 1e200 and at 3e154.
+GRIDS_PAST = {
+    **{repr([a]): [a] for a in ANGLES_PAST},
+    "scan-to-1e200": np.r_[np.geomspace(0.01, 0.3, 10), 1e200],
+    "geomspace-to-3e154": np.geomspace(0.01, 3e154, 50),
+}
+GRIDS_PAST_THE_DOMAIN = {
+    ("run_batch", "alpha_rad"): GRIDS_PAST,
+    ("sweep_alpha", "alpha_values"): GRIDS_PAST,
+    ("truncation_scan", "alpha_grid"): GRIDS_PAST,
+}
 
-@pytest.mark.parametrize("bad", NOT_REAL_GRIDS, ids=repr)
-@pytest.mark.parametrize(
-    "parameter, call", [g[1:] for g in GRIDS], ids=[f"{f}.{p}" for f, p, _ in GRIDS]
-)
+# (id, parameter, call, a grid it rejects) for every grid row
+GRID_CASES = [
+    (f"{f}.{p}-{label}", p, call, bad)
+    for f, p, call in GRIDS
+    for label, bad in [(repr(g), g) for g in NOT_REAL_GRIDS] + [*GRIDS_PAST_THE_DOMAIN.get((f, p), {}).items()]
+]
+
+
+@pytest.mark.parametrize("parameter, call, bad", [c[1:] for c in GRID_CASES], ids=[c[0] for c in GRID_CASES])
 def test_grid_parameter_rejects_what_is_not_a_real_grid(parameter, call, bad):
     with pytest.raises(ValueError) as info:
         call(bad)
