@@ -3,10 +3,12 @@
 The package models a polarized beam split over two paths with transverse
 spin marking (plus on path I, minus on path II), optional per-path
 absorbers or small spin rotations, a tunable relative phase, and
-post-selected detection.  Detector intensities come from one numpy pass
-over an ``(N, path, spin)`` amplitude array (``experiment.run_batch``);
-the canonical weak values come from the same ``(path, spin)`` arrays, and
-intensity-based estimators pull them back out.  The exact 4-dimensional
+post-selected detection.  Detector intensities come from one closed form
+in the insertion's spin factor c + i s sigma_z and the phase's sine, on a
+whole grid's arrays (``experiment.run_batch``) or one point's floats
+(``experiment.run``); the canonical weak values are contracted from the
+``(path, spin)`` amplitude arrays, and intensity-based estimators pull them
+back out.  The exact 4-dimensional
 matrix algebra of ``qcore`` and ``elements`` serves ``weak.weak_value`` for
 arbitrary operators and states and is the independent reference for both;
 it is imported from those modules, not from the package.  An analyzer pins

@@ -25,8 +25,7 @@ from .experiment import (
     _ROTATION,
     Magnet,
     Scenario,
-    _readout_one,
-    _zero_phase,
+    _readings,
     closed_form_o,
     count_rate,
 )
@@ -90,10 +89,11 @@ def _slope(log_x: np.ndarray, err: np.ndarray, floor: float) -> float:
 
 def _o_selected_by_truncation(path: Path, alpha: np.ndarray) -> np.ndarray:
     """O_SELECTED at chi = 0 behind a magnet on ``path``: one row per truncation, in one pass."""
+    half = alpha / 2.0
     c, s = np.empty((2, len(_ROTATION), alpha.size))
     for row, rotation in enumerate(_ROTATION.values()):
-        c[row], s[row] = rotation(alpha)
-    return _zero_phase(path, c, s)[0]
+        c[row], s[row] = rotation(half)
+    return _readings(path, 0.0, c, s)[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,19 +149,18 @@ class CheshireDeficits:
 def cheshire_witness(alpha_rad: float) -> CheshireDeficits:
     """Deficit of the post-selected O intensity below the reference, per truncation.
 
-    The linear deficit is identically zero, and exactly 0.0 in floating
-    point: with c = 1 the real readout's port difference is 1 and its
-    imaginary part s/2 - s/2 is 0.  The quadratic and exact deficits both
+    Behind a path II magnet O_SELECTED is c^2/4, so the linear deficit,
+    with c = 1, is exactly 0.0.  The quadratic and exact deficits both
     equal I_ref * alpha^2/4 to leading order, so their ratio tends to one
-    as alpha tends to zero.  Each row of ``_ROTATION`` at ``alpha_rad`` is
-    read out in Python floats by the readout of
-    :func:`cheshire.experiment.run`, whose bits at chi = 0 the scan's
-    special case keeps: they are those of the last point of a
-    :func:`truncation_scan` whose grid ends at ``alpha_rad``, in (0, 1e6].
+    as alpha tends to zero.  Each row of ``_ROTATION`` at ``alpha_rad``, in
+    (0, 1e6], is read out in Python floats by the readout of
+    :func:`cheshire.experiment.run`, with the bits of the last point of a
+    :func:`truncation_scan` whose grid ends at ``alpha_rad``.
     """
     alpha = _require_real("alpha_rad", alpha_rad, "lie in (0, 1e6]")
+    half = alpha / 2.0
     exact, linear, quadratic = (
-        I_REF_NORM - _readout_one(0.0, Path.II, *rotation(alpha))[0]
+        I_REF_NORM - _readings(Path.II, 0.0, *map(float, rotation(half)))[0]
         for rotation in _ROTATION.values()
     )
     return CheshireDeficits(

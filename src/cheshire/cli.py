@@ -354,6 +354,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     else:
         if start <= 0.0:
             raise ValueError("alpha sweeps need --start > 0 (log-spaced grid)")
+        _require_real("--stop", stop, "lie in [-1e6, 1e6]")
         grid = np.geomspace(start, stop, points)
         readings = run_batch(template, alpha_rad=grid)
 
@@ -401,6 +402,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         raise ValueError(f"--points must be between 10 and {MAX_POINTS}")
     if not (0.0 < args.alpha_min < args.alpha_max < math.inf):
         raise ValueError("need 0 < --alpha-min < --alpha-max")
+    _require_real("--alpha-max", args.alpha_max, "lie in (0, 1e6]")
     grid = np.geomspace(args.alpha_min, args.alpha_max, args.points)
     report = truncation_scan(path, grid)
 

@@ -20,23 +20,24 @@ Inside the input domain, angles in [-1e6, 1e6] rad and scales in [1e-12,
 1e12] cps, every reading stays below about 4e21 and every rate below about
 1.6e34, so nothing here checks for overflow.
 
-Every element is block-diagonal in path, so the readout needs only each
-path's two spin amplitudes: the phase is a per-path scalar, the insertion
-multiplies one path's spin diagonal by c + i s sigma_z, and the recombiner
-plus spin filter one fixed contraction whose 1/sqrt(2) factors are folded
-into exact powers of two.  One map, ``_factor``, gives every insertion as
-``(path, c, s)``: an absorber is (sqrt(T), 0), a magnet its truncation's
-row of ``_ROTATION``, and no insertion the identity (1, 0).  One formula,
-:func:`_readings`, reads the ports out in real arithmetic with only
-``+ - *``: :func:`run_batch` on a whole grid's arrays (each sweep is one
-call), :func:`run` on one point's Python floats, with the same bits as its
-row, both with the phase's cosine and sine from :mod:`math`.  The witness
-of :mod:`cheshire.analysis` takes :func:`run`'s readout at each row of
-``_ROTATION``, with no scenario built; the scan reads all three rows over
-its grid in one :func:`_zero_phase` pass.  The canonical weak values are
-contracted once from the same ``(path, spin)`` constants.  The 4x4 joint
-algebra of :mod:`cheshire.qcore` and :mod:`cheshire.elements` is not on
-either route; it serves :func:`cheshire.weak.weak_value` for arbitrary
+Every element is block-diagonal in path, and the insertion multiplies
+one path's spin diagonal by c + i s sigma_z.  One map, ``_factor``, gives
+every insertion as ``(path, c, s)``: an absorber is (sqrt(T), 0), a magnet
+its truncation's row of ``_ROTATION``, and no insertion the identity
+(1, 0).  One closed form, :func:`_readings`, gives the readings with
+k = 2 s sin(chi): O_SELECTED is c^2/4 behind a path II insertion and
+(1 + s^2 + k)/4 behind a path I one, O_UNSELECTED and H (1 + c^2 + s^2 ± k)/4,
++k at O_UNSELECTED on path I and at H on path II.  At chi = 0, O_SELECTED is
+|1 + (c - 1)<Pi_j>_w + i s <sigma_z Pi_j>_w|^2 / 4 with the canonical weak
+values, (0, ±1) on path I and (1, 0) on path II: the linear term s leaves
+path II's post-selected intensity at the empty-beamline 1/4, the quadratic
+term in c does not, and path I sees only s.  The same code takes Python
+floats and numpy arrays: :func:`run_batch` reads a whole grid (each sweep is
+one call), :func:`run` one point with the same bits as its row, both with
+sin(chi) from :mod:`math`; the scan and the witness of
+:mod:`cheshire.analysis` read the rows of ``_ROTATION`` at k = 0.  The 4x4
+joint algebra of :mod:`cheshire.qcore` and :mod:`cheshire.elements` is on
+neither route; it serves :func:`cheshire.weak.weak_value` for arbitrary
 operators and is the independent reference the tests check both against.
 """
 
@@ -162,12 +163,13 @@ def postselection_state() -> JointState:
 
 
 # The rotation's spin diagonal is c + i s sigma_z; each truncation policy
-# gives (c, s) for one angle or an array of angles.  The 2x2 matrices of
+# gives (c, s) from the half angle h = alpha/2, for one angle or an array of
+# them (h * h / 2 has the bits of alpha * alpha / 8).  The 2x2 matrices of
 # elements.spin_rotation_matrix are built independently.
 _ROTATION = {
-    Truncation.EXACT: lambda a: (np.cos(a / 2.0), np.sin(a / 2.0)),
-    Truncation.LINEAR: lambda a: (1.0, a / 2.0),
-    Truncation.QUADRATIC: lambda a: (1.0 - a * a / 8.0, a / 2.0),
+    Truncation.EXACT: lambda h: (np.cos(h), np.sin(h)),
+    Truncation.LINEAR: lambda h: (1.0, h),
+    Truncation.QUADRATIC: lambda h: (1.0 - h * h / 2.0, h),
 }
 
 
@@ -182,75 +184,24 @@ def _factor(insertion: Insertion, alpha: np.ndarray | None = None) -> tuple:
         return Path.I, 1.0, 0.0
     if isinstance(insertion, Absorber):
         return insertion.path, math.sqrt(insertion.transmissivity), 0.0
-    c, s = _ROTATION[insertion.truncation](insertion.alpha_rad if alpha is None else alpha)
+    c, s = _ROTATION[insertion.truncation]((insertion.alpha_rad if alpha is None else alpha) / 2.0)
     return insertion.path, c, s
 
 
-def _readout(chi: np.ndarray, path: Path, c, s) -> np.ndarray:
-    """The one array pass: ``(N, 3)`` readings, columns as :class:`Detector`.
+def _readings(path: Path, k, c, s) -> tuple:
+    """``(O_selected, O_unselected, H)`` in closed form, for floats or arrays alike.
 
-    Row n has phase ``chi[n]`` and, on ``path``, the spin diagonal
-    c + i s sigma_z of :func:`_factor`; ``c`` and ``s`` are scalars or one
-    value per row.  This is :func:`_readings` on arrays, with the phase's
-    cosine and sine from :mod:`math`, as :func:`_readout_one` takes them.
+    ``path`` carries the insertion c + i s sigma_z and k = 2 s sin(chi).
+    With r = 1 + c^2 + s^2 the readings are ((1 + s^2) + k, r + k, r - k)/4
+    behind a path I insertion and (c^2, r - k, r + k)/4 behind a path II
+    one: the linear term s leaves path II's O_selected untouched, and path
+    I's does not see c.  Each is summed in this one order.
     """
-    half = memoryview(chi / 2.0)  # iterates as Python floats, with no list of them
-    re, im = (np.fromiter(map(f, half), float, len(half)) * 0.5 for f in (math.cos, math.sin))
-    return np.stack(_readings(path, re, im, c, s), axis=-1)
-
-
-def _readings(path: Path, re, im, c, s) -> tuple:
-    """``(O_selected, O_unselected, H)`` in real arithmetic: only ``+ - *``, for floats or arrays.
-
-    Behind the phase shifter path I holds ``re - i im`` = exp(-i chi/2)/2 on
-    both spins, path II ``re + i im`` up and its negative down.  The
-    insertion multiplies ``path``'s spin up by c + i s and spin down by
-    c - i s.  O takes I + II and H takes I - II per spin, the filter O up -
-    O down; each port sums its squares in one order (see :func:`_norm`).
-    """
-    p, q, r, t = re * c, im * s, re * s, im * c
-    cp, cm, sp, sm = p + q, p - q, r + t, r - t
-    if path is Path.I:  # I up (cp, sm), down (cm, -sp)
-        o = (cp + re, sm + im, cm - re, sp + im)  # O down's im negated: only squared or added
-        h = (cp - re, sm - im, cm + re, im - sp)
-        f_re, f_im = o[0] - o[2], o[1] + o[3]
-    else:  # II up (cm, sp), down (-cp, sm)
-        o = (cm + re, sp - im, re - cp, sm - im)
-        h = (re - cm, sp + im, cp + re, sm + im)  # H's im negated: only squared
-        f_re, f_im = o[0] - o[2], o[1] - o[3]
-    return (f_re * f_re + f_im * f_im) * 0.25, _norm(*o) * 0.5, _norm(*h) * 0.5
-
-
-def _norm(up_re, up_im, down_re, down_im):
-    """A port's squared norm, up before down and real before imaginary."""
-    return ((up_re * up_re + up_im * up_im) + down_re * down_re) + down_im * down_im
-
-
-def _zero_phase(path: Path, c, s) -> tuple:
-    """:func:`_readings` at chi = 0, ``(re, im) = (0.5, 0.0)``, with its bits, for floats or arrays.
-
-    There each prepared amplitude is ±1/2 with imaginary part +0: the products
-    by ``re`` and ``im`` are exact halvings and signed zeros, left out here.
-    The scan takes it, for half the operations.
-    """
-    a, b = 0.5 * c, 0.5 * s
-    up, down = a + 0.5, 0.5 - a
-    if path is Path.II:
-        dif, im = up - down, b - b
-    else:
-        dif, im = up + down, b + b
-    up2, down2, b2 = up * up, down * down, b * b
-    return (dif * dif + im * im) * 0.25, (((up2 + b2) + down2) + b2) * 0.5, (((down2 + b2) + up2) + b2) * 0.5
-
-
-def _readout_one(chi: float, path: Path, c, s) -> tuple[float, float, float]:
-    """One row of :func:`_readout` in Python scalars, bit for bit, from that row's arguments.
-
-    :func:`_readings` on Python floats (``float()`` turns an exact rotation's
-    ``np.float64`` into one), with the same :mod:`math` cosine and sine.
-    """
-    half = chi / 2.0
-    return _readings(path, 0.5 * math.cos(half), 0.5 * math.sin(half), float(c), float(s))
+    cc, ss = c * c, s * s
+    r = 1.0 + (cc + ss)
+    if path is Path.I:
+        return ((1.0 + ss) + k) * 0.25, (r + k) * 0.25, (r - k) * 0.25
+    return cc * 0.25, (r - k) * 0.25, (r + k) * 0.25
 
 
 def run_batch(template: Scenario, *, chi_rad=None, alpha_rad=None) -> np.ndarray:
@@ -259,19 +210,11 @@ def run_batch(template: Scenario, *, chi_rad=None, alpha_rad=None) -> np.ndarray
     ``chi_rad`` replaces the template's phase and ``alpha_rad`` its magnet
     angle; each is a scalar or a one-dimensional array, the two broadcast
     against each other, and either defaults to the template's value.
-    Returns an ``(N, 3)`` array whose columns follow :class:`Detector`.
-
-    The amplitudes ``a[n, path, spin]`` start from the prepared state; the
-    phase and the insertion scale them path by path and spin by spin.  The
-    readout is then
-
-        O_SELECTED   = |a_I,up + a_II,up - a_I,down - a_II,down|^2 / 4
-        O_UNSELECTED = sum over spin of |a_I + a_II|^2 / 2
-        H            = sum over spin of |a_I - a_II|^2 / 2
-
-    The grids are checked here, each angle in [-1e6, 1e6] rad, where every
-    reading is finite; the arithmetic is :func:`_readings` on arrays, which
-    :func:`run` applies to Python floats.
+    Returns an ``(N, 3)`` array whose columns follow :class:`Detector`:
+    :func:`_readings` on the grid's arrays, with sin(chi) from :mod:`math`
+    point by point, as :func:`run` takes it for one point.  The grids are
+    checked here, each angle in [-1e6, 1e6] rad, where every reading is
+    finite.
     """
     ins = template.insertion
     magnet = isinstance(ins, Magnet)
@@ -288,21 +231,30 @@ def run_batch(template: Scenario, *, chi_rad=None, alpha_rad=None) -> np.ndarray
             raise ValueError(
                 f"chi_rad and alpha_rad grids differ in length ({chi.size} and {alpha.size})"
             ) from None
-    return _readout(chi, *_factor(ins, alpha))
+    path, c, s = _factor(ins, alpha)
+    sin = np.fromiter(map(math.sin, memoryview(chi)), float, chi.size)
+    readings = np.empty((chi.size, 3))
+    readings[:, 0], readings[:, 1], readings[:, 2] = _readings(path, 2.0 * s * sin, c, s)
+    return readings
 
 
 def count_rate(intensity_norm, scale_ref_cps: float):
     """Count rate of a normalized intensity (a float or an array).
 
     ``intensity_norm / I_REF_NORM * scale_ref_cps``, so the empty beamline
-    reads exactly ``scale_ref_cps`` (in [1e-12, 1e12] cps) at O_SELECTED.  A
-    rate that is not finite raises ValueError naming ``intensity_norm``.
+    reads exactly ``scale_ref_cps`` (in [1e-12, 1e12] cps) at O_SELECTED.  An
+    intensity that is not a real number or array of them, or whose rate is
+    not finite, raises ValueError naming ``intensity_norm``.
     """
     scale = _require_real("scale_ref_cps", scale_ref_cps, "lie in [1e-12, 1e12]")
     if type(intensity_norm) is float:
         peak = abs(intensity_norm)
-    else:  # rounding is monotone, so the largest magnitude has the largest rate
+    elif isinstance(intensity_norm, (int, float)) or (
+        isinstance(intensity_norm, (np.ndarray, np.generic)) and intensity_norm.dtype.kind in "biuf"
+    ):  # rounding is monotone, so the largest magnitude has the largest rate
         peak = float(np.max(np.abs(intensity_norm), initial=0.0))
+    else:
+        raise ValueError(f"intensity_norm must be a real number or array, got {intensity_norm!r}")
     if not math.isfinite(peak / I_REF_NORM * scale):
         raise ValueError(f"intensity_norm of magnitude {peak!r} has no finite count rate")
     return intensity_norm / I_REF_NORM * scale
@@ -322,7 +274,9 @@ def run(
 ) -> dict[Detector, IntensityRecord]:
     """Simulate one scenario and return one record per detector (see :func:`count_rate`)."""
     scale = _require_real("scale_ref_cps", scale_ref_cps, "lie in [1e-12, 1e12]")
-    readings = _readout_one(scenario.chi_rad, *_factor(scenario.insertion))
+    path, c, s = _factor(scenario.insertion)
+    c, s = float(c), float(s)  # an exact rotation's np.float64, so the readings are Python floats
+    readings = _readings(path, 2.0 * s * math.sin(scenario.chi_rad), c, s)
     return {
         det: IntensityRecord(scenario, det, norm, norm / I_REF_NORM * scale, scale)
         for det, norm in zip(_DETECTORS, readings)

@@ -95,11 +95,14 @@ class TestAnglePastTheDomain:
         [
             (["run", "--insertion", "magnet", "--path", "I", "--alpha-rad", "1e200", "--truncation", "linear"],
              "error: alpha_rad must lie in [-1e6, 1e6], got 1e+200", ""),
-            # the first of the 50 log-spaced angles past 1e6, about 8.3e7
+            # a grid's bound is checked, and named, before the grid is built
             (["analyze", "--path", "I", "--alpha-max", "1e160"],
-             "error: alpha_grid entries must lie in (0, 1e6], got ", " at index 3"),
+             "error: --alpha-max must lie in (0, 1e6], got 1e+160", ""),
+            (["sweep", "--vary", "alpha", "--insertion", "magnet", "--path", "I", "--stop", "3e154",
+              "--points", "40"],
+             "error: --stop must lie in [-1e6, 1e6], got 3e+154", ""),
         ],
-        ids=["run", "analyze"],
+        ids=["run", "analyze", "sweep"],
     )
     def test_is_an_error_line(self, capsys, argv, head, tail):
         code, out, err = run_cli(capsys, *argv)

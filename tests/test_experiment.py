@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from cheshire.experiment import (
     initial_state,
     postselection_state,
     run,
+    run_batch,
     sweep_alpha,
     sweep_chi,
 )
@@ -263,6 +265,32 @@ class TestSweeps:
         assert [r.detector for r in records[:3]] == list(Detector)
 
 
+class TestPaperClaims:
+    """The abstract's two claims, exactly, at 10 000 seeded points with a phase:
+    the linear term of the rotation leaves path II's post-selected intensity
+    at the empty-beamline 1/4, and path I sees only the linear term, so its
+    linear and quadratic truncations give the same bits."""
+
+    ALPHA, CHI = np.random.default_rng(2014).uniform((-3.0, -7.0), (3.0, 7.0), (10_000, 2)).T
+
+    def o_selected(self, path, truncation):
+        template = Scenario(Magnet(path, 0.0, truncation))
+        grid = run_batch(template, chi_rad=self.CHI, alpha_rad=self.ALPHA)[:, 0].tolist()
+        points = [  # and one point at a time
+            o_selected(Scenario(Magnet(path, alpha, truncation), chi))
+            for alpha, chi in zip(self.ALPHA[:200].tolist(), self.CHI[:200].tolist())
+        ]
+        assert points == grid[:200]
+        return grid
+
+    def test_the_linear_term_leaves_path_II_at_the_reference(self):
+        assert set(self.o_selected(Path.II, Truncation.LINEAR)) == {I_REF_NORM}
+
+    def test_path_I_cannot_tell_linear_from_quadratic(self):
+        linear, quadratic = (self.o_selected(Path.I, t) for t in (Truncation.LINEAR, Truncation.QUADRATIC))
+        assert [x.hex() for x in linear] == [x.hex() for x in quadratic]
+
+
 # Every scale of the domain, [1e-12, 1e12] cps.
 scales = st.floats(1e-12, 1e12)
 
@@ -306,6 +334,12 @@ class TestCountRate:
         match = r"^intensity_norm of magnitude 1e\+308 has no finite count rate$"
         with pytest.raises(ValueError, match=match):
             count_rate(norm, 0.1)
+
+    @pytest.mark.parametrize("norm", ["x", None, [0.25], 0.25j], ids=["str", "None", "list", "complex"])
+    def test_a_norm_that_is_not_a_real_number_or_array_is_an_error(self, norm):
+        match = r"^intensity_norm must be a real number or array, got "
+        with pytest.raises(ValueError, match=match + re.escape(repr(norm)) + "$"):
+            count_rate(norm, 11.25)
 
     def test_run_and_sweeps_refuse_a_scale_past_the_domain(self):
         with pytest.raises(ValueError, match=SCALE_RULE):
