@@ -7,8 +7,10 @@ BASE is any git revision.  The script exports it with ``git archive`` into a
 temporary directory, runs one fixed list of ``cheshire`` commands in that
 tree and in this working tree (uncommitted edits included) with the same
 interpreter, and compares each command's exit status, stdout, stderr and CSV
-file byte for byte.  The ``--config`` runs read two scenario files that the
-script writes into each tree's work directory first.  It then runs
+file byte for byte.  Two sweeps span several CSV blocks of grid points: 2500
+chi points of a path I magnet to a ``--csv`` file and 1500 alpha points of a
+path II quadratic magnet to stdout.  The ``--config`` runs read two scenario
+files that the script writes into each tree's work directory first.  It then runs
 ``pytest -q -s tests/test_acceptance.py`` in both trees and compares the
 output, with a trailing `` in N.NNs`` cut from each line: criteria 03 and 09
 print their own wall time, and pytest its own.
@@ -132,6 +134,11 @@ def commands() -> list[tuple[list[str], str | None]]:
         (["run", "--config", "partial.cfg", "--path", "II", "--alpha-deg", "20"], None),
         (["sweep", "--config", "magnet.cfg", "--vary", "alpha", "--points", "25",
           "--csv", "sweep_config.csv"], "sweep_config.csv"),
+        # sweeps of several CSV blocks, to a file and to stdout
+        (["sweep", "--insertion", "magnet", "--path", "I", "--alpha-deg", "20", "--vary", "chi",
+          "--points", "2500", "--csv", "sweep_blocks.csv"], "sweep_blocks.csv"),
+        (["sweep", "--insertion", "magnet", "--path", "II", "--truncation", "quadratic", "--chi-deg", "30",
+          "--vary", "alpha", "--points", "1500"], None),
         # the corner of the domain where the readings and rates are largest
         (["run", "--insertion", "magnet", "--path", "I", "--truncation", "quadratic", "--alpha-rad", "1e6",
           "--chi-rad", "0.5", "--scale-ref-cps", "1e12"], None),

@@ -52,6 +52,9 @@ EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a process the signal
 # readings are built in memory, so an absurd count would fail inside numpy.
 MAX_POINTS = 100_000
 
+# Grid points per CSV chunk of a sweep: the chunks in memory stay small at any --points.
+_BLOCK = 1024
+
 # sweep --vary -> the (start, stop, points) of its grid when not given.
 _SWEEP_GRID = {"chi": (0.0, 2.0 * math.pi, 361), "alpha": (0.01, 0.3, 50)}
 
@@ -281,12 +284,13 @@ def _scenario_id(scenario: Scenario) -> str:
 def _sweep_csv(
     template: Scenario, vary: str, grid: np.ndarray, readings: np.ndarray, scale: float
 ) -> Iterator[str]:
-    """CSV of a chi or alpha sweep: a header line, then per grid point one chunk of its detectors' rows.
+    """CSV of a chi or alpha sweep: a header line, then one chunk per block of ``_BLOCK`` grid points.
 
-    Strings that are constant over the sweep go into one ``%`` template of
-    the point's three rows, and the varied value is formatted once per point.
+    Strings constant over the sweep go into one ``%`` template of a point's
+    three rows, repeated over a block and filled from one flat tuple; the
+    varied value is formatted once per point.
     """
-    rates = count_rate(readings, scale).tolist()
+    rates = count_rate(readings, scale)
     ins = template.insertion
     magnet = isinstance(ins, Magnet)
     chi = _num(template.chi_rad)
@@ -296,9 +300,13 @@ def _sweep_csv(
     point = "%s," + alpha + "," if vary == "chi" else chi + ",%s,"
     rows = "".join(f"{sid},{det.value},{point}{trunc},%.12e,%.12e\n" for det in Detector)
     yield "scenario_id,detector,chi_rad,alpha_rad,truncation,intensity_norm,intensity_cps\n"
-    for value, (n0, n1, n2), (c0, c1, c2) in zip(grid.tolist(), readings.tolist(), rates):
-        v = _num(value)
-        yield rows % (v, n0, c0, v, n1, c1, v, n2, c2)
+    for lo in range(0, len(grid), _BLOCK):
+        cells = []
+        block = (a[lo : lo + _BLOCK].tolist() for a in (grid, readings, rates))
+        for value, (n0, n1, n2), (c0, c1, c2) in zip(*block):
+            v = _num(value)
+            cells += (v, n0, c0, v, n1, c1, v, n2, c2)
+        yield rows * (len(cells) // 9) % tuple(cells)
 
 
 def _write_csv(csv: tuple[str, str] | None, chunks: Iterable[str]) -> None:
@@ -308,17 +316,18 @@ def _write_csv(csv: tuple[str, str] | None, chunks: Iterable[str]) -> None:
         return
     path_text, target = csv
     # Stream into a sibling file renamed over the target: a failed write keeps the old CSV.
-    partial = FilePath(target).with_name(f".{os.path.basename(target)}.{os.getpid()}.tmp")
+    partial = os.path.join(os.path.dirname(target), f".{os.path.basename(target)}.{os.getpid()}.tmp")
     rows = -1  # the header is no row
     try:
-        with open(partial, "w", encoding="utf-8", newline="") as handle:
+        with open(partial, "wb") as handle:
             for chunk in chunks:
-                handle.write(chunk)
+                handle.write(chunk.encode("utf-8"))
                 rows += chunk.count("\n")
         os.replace(partial, target)
     except BaseException as exc:
-        partial.unlink(missing_ok=True)
-        if isinstance(exc, OSError) and exc.filename == str(partial):  # name the path given
+        if os.path.lexists(partial):
+            os.unlink(partial)
+        if isinstance(exc, OSError) and exc.filename == partial:  # name the path given
             raise OSError(exc.errno, exc.strerror, path_text) from None
         raise
     print(f"wrote {rows} rows to {path_text}")
@@ -427,7 +436,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         f"quadratic = {witness.deficit_quadratic:.6g}"
     )
     if args.csv is not None:
-        _write_csv(args.csv, csv_lines)
+        _write_csv(args.csv, ["".join(csv_lines)])
     return EXIT_OK
 
 

@@ -208,32 +208,30 @@ def run_batch(template: Scenario, *, chi_rad=None, alpha_rad=None) -> np.ndarray
     """Normalized intensities of ``template`` over a grid, in one array pass.
 
     ``chi_rad`` replaces the template's phase and ``alpha_rad`` its magnet
-    angle; each is a scalar or a one-dimensional array, the two broadcast
-    against each other, and either defaults to the template's value.
-    Returns an ``(N, 3)`` array whose columns follow :class:`Detector`:
-    :func:`_readings` on the grid's arrays, with sin(chi) from :mod:`math`
-    point by point, as :func:`run` takes it for one point.  The grids are
-    checked here, each angle in [-1e6, 1e6] rad, where every reading is
-    finite.
+    angle; each is a scalar or a one-dimensional array, and either defaults
+    to the template's value.  A grid of length 1 holds at every point of the
+    other and stays a Python float, so a sweep takes its fixed axis's
+    sin(chi), or (c, s), once.  Returns an ``(N, 3)`` array whose columns
+    follow :class:`Detector`: :func:`_readings` on the grid, with sin(chi)
+    from :mod:`math` point by point, as :func:`run` takes it for one point.
+    The grids are checked here, each angle in [-1e6, 1e6] rad, where every
+    reading is finite.
     """
     ins = template.insertion
     magnet = isinstance(ins, Magnet)
     if alpha_rad is not None and not magnet:
         raise ValueError("an alpha grid requires a scenario with a magnet insertion")
     chi = _require_grid("chi_rad", template.chi_rad if chi_rad is None else chi_rad)
-    alpha = None
+    n, alpha = chi.size, None
     if magnet:
         alpha = ins.alpha_rad if alpha_rad is None else alpha_rad
         alpha = _require_grid("alpha_rad", alpha, "lie in [-1e6, 1e6]")
-        try:
-            chi, alpha = np.broadcast_arrays(chi, alpha)
-        except ValueError:
-            raise ValueError(
-                f"chi_rad and alpha_rad grids differ in length ({chi.size} and {alpha.size})"
-            ) from None
+        if alpha.size != n and 1 not in (alpha.size, n):
+            raise ValueError(f"chi_rad and alpha_rad grids differ in length ({n} and {alpha.size})")
+        n, alpha = (n, alpha.item()) if alpha.size == 1 else (alpha.size, alpha)
     path, c, s = _factor(ins, alpha)
-    sin = np.fromiter(map(math.sin, memoryview(chi)), float, chi.size)
-    readings = np.empty((chi.size, 3))
+    sin = math.sin(chi.item()) if chi.size == 1 else np.fromiter(map(math.sin, memoryview(chi)), float)
+    readings = np.empty((n, 3))
     readings[:, 0], readings[:, 1], readings[:, 2] = _readings(path, 2.0 * s * sin, c, s)
     return readings
 
@@ -252,7 +250,10 @@ def count_rate(intensity_norm, scale_ref_cps: float):
     elif isinstance(intensity_norm, (int, float)) or (
         isinstance(intensity_norm, (np.ndarray, np.generic)) and intensity_norm.dtype.kind in "biuf"
     ):  # rounding is monotone, so the largest magnitude has the largest rate
-        peak = float(np.max(np.abs(intensity_norm), initial=0.0))
+        try:
+            peak = float(np.max(np.abs(intensity_norm), initial=0.0))
+        except OverflowError:  # an int past the float range
+            peak = math.inf
     else:
         raise ValueError(f"intensity_norm must be a real number or array, got {intensity_norm!r}")
     if not math.isfinite(peak / I_REF_NORM * scale):

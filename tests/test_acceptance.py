@@ -169,11 +169,11 @@ class TestAcceptance:
                 if r.detector is Detector.O_SELECTED
             ]
         )
-        var_ii = float(np.var(sel_ii))
+        spread_ii = float(np.max(sel_ii) - np.min(sel_ii))
         spread_i = float(np.max(sel_i) - np.min(sel_i))
         periodic = abs(sel_i[0] - sel_i[-1]) <= 1e-12
         ok = (
-            var_ii < 1e-24
+            spread_ii == 0.0
             and periodic
             and abs(spread_i - math.sin(ALPHA_20 / 2.0)) <= 1e-9
         )
@@ -181,10 +181,10 @@ class TestAcceptance:
             capsys,
             5,
             ok,
-            f"magnet II: var over chi = {var_ii:.2e} (want < 1e-24); "
+            f"magnet II: max - min over chi = {spread_ii:.2e} (want exactly 0); "
             f"magnet I: 2pi-periodic fringe, spread {spread_i:.6f} = sin(alpha/2)",
         )
-        assert ok, (var_ii, spread_i, periodic)
+        assert ok, (spread_ii, spread_i, periodic)
 
     def test_criterion_06_absorber_response_localizes_the_particle(self, capsys):
         worst_i = 0.0

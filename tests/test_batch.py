@@ -370,3 +370,55 @@ class TestRunBatch:
         template = Scenario(insertion=Magnet(Path.I, 0.0, Truncation.LINEAR))
         with pytest.raises(ValueError, match=r"^alpha_rad entries must lie in .* got 1e\+300 at index 1$"):
             run_batch(template, alpha_rad=[0.1, 1e300, 1e301])
+
+
+magnets = st.builds(Magnet, paths, st.floats(-3.0, 3.0), st.sampled_from(list(Truncation)))
+signed_angles = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-7.0, 7.0))
+
+
+class TestLengthOneAxis:
+    """A grid of length 1 stays a Python float: the readings are the broadcast grid's, sign bits included."""
+
+    @staticmethod
+    def broadcast(template, chi, alpha):
+        chi, alpha = np.broadcast_arrays(np.atleast_1d(chi), np.atleast_1d(alpha))
+        return run_batch(template, chi_rad=chi.copy(), alpha_rad=alpha.copy())
+
+    @settings(max_examples=200, deadline=None)
+    @given(magnets, st.lists(signed_angles, min_size=2, max_size=6), signed_angles)
+    @example(Magnet(Path.I, -0.0, Truncation.LINEAR), [-0.0, 0.0], -0.0)
+    @example(Magnet(Path.II, -0.0, Truncation.QUADRATIC), [0.0, -0.0], -0.0)
+    def test_one_against_n_and_n_against_one(self, magnet, grid, fixed):
+        template = Scenario(magnet)
+        for chi, alpha in ((grid, [fixed]), ([fixed], grid), (grid, fixed), (fixed, grid)):
+            readings = run_batch(template, chi_rad=chi, alpha_rad=alpha)
+            assert readings.shape == (len(grid), 3)
+            assert readings.tobytes() == self.broadcast(template, chi, alpha).tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(magnets, signed_angles, signed_angles)
+    def test_one_against_one_is_the_two_point_grid_row(self, magnet, chi, alpha):
+        one = run_batch(Scenario(magnet), chi_rad=[chi], alpha_rad=[alpha])
+        two = run_batch(Scenario(magnet), chi_rad=[chi, chi], alpha_rad=[alpha, alpha])
+        assert one.tobytes() == two[:1].tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(insertions, signed_angles)
+    def test_a_one_point_phase_grid_is_the_two_point_grid_row(self, ins, chi):
+        one = run_batch(Scenario(ins), chi_rad=[chi])
+        assert one.tobytes() == run_batch(Scenario(ins), chi_rad=[chi, chi])[:1].tobytes()
+
+    def test_zero_against_one(self):
+        template = Scenario(Magnet(Path.I, 0.3))
+        for chi, alpha in (([], [0.2]), ([], 0.2), ([0.2], []), (0.2, [])):
+            readings = run_batch(template, chi_rad=chi, alpha_rad=alpha)
+            assert readings.shape == (0, 3)
+            assert readings.tobytes() == self.broadcast(template, chi, alpha).tobytes()
+        assert run_batch(template, chi_rad=[]).shape == (0, 3)
+
+    @pytest.mark.parametrize("chi, alpha, sizes", [([0, 1], [0, 1, 2], (2, 3)), ([], [0, 1], (0, 2)),
+                                                   ([0, 1, 2], [], (3, 0))])
+    def test_grids_of_other_lengths_keep_their_message(self, chi, alpha, sizes):
+        message = f"^chi_rad and alpha_rad grids differ in length \\({sizes[0]} and {sizes[1]}\\)$"
+        with pytest.raises(ValueError, match=message):
+            run_batch(Scenario(Magnet(Path.I, 0.1)), chi_rad=chi, alpha_rad=alpha)

@@ -789,22 +789,28 @@ class TestStreamedCsv:
 
     def test_failure_mid_stream_keeps_old_file(self, capsys, tmp_path, monkeypatch):
         out_csv = tmp_path / "sweep.csv"
+        partial = tmp_path / f".sweep.csv.{os.getpid()}.tmp"
+        code, whole, _ = run_cli(capsys, *self.ARGS, "--points", "1500")
+        assert code == 0
+        first_block = "".join(whole.splitlines(keepends=True)[: 1 + 3 * cli._BLOCK]).encode("utf-8")
         out_csv.write_bytes(b"old contents\n")
         format_number = cli._num
         calls = []
 
         def fail_late(value):
-            # the template's chi and alpha, then one call per grid point
+            # the template's chi and alpha, then one call per grid point: fail in the second block
             calls.append(sorted(p.name for p in tmp_path.iterdir()))
-            if len(calls) > 300:
+            if len(calls) > 2 + cli._BLOCK + 100:
+                calls.append(partial.read_bytes())
                 raise ValueError("formatting failed")
             return format_number(value)
 
         monkeypatch.setattr(cli, "_num", fail_late)
-        code, out, err = run_cli(capsys, *self.ARGS, "--points", "400", "--csv", str(out_csv))
+        code, out, err = run_cli(capsys, *self.ARGS, "--points", "1500", "--csv", str(out_csv))
         assert (code, out, err) == (1, "", "error: formatting failed\n")
-        # rows were already streaming into the temporary sibling
-        assert calls[-1] == [f".sweep.csv.{os.getpid()}.tmp", "sweep.csv"]
+        # the header and the first block were already in the temporary sibling
+        assert calls[-2] == [partial.name, "sweep.csv"]
+        assert calls[-1] == first_block
         assert out_csv.read_bytes() == b"old contents\n"
         assert [p.name for p in tmp_path.iterdir()] == ["sweep.csv"]
 
@@ -828,7 +834,7 @@ class TestStreamedCsv:
         assert out_csv.read_bytes() == stdout_csv.encode("utf-8")
         assert out == f"wrote {stdout_csv.count(chr(10)) - 1} rows to {out_csv}\n"
 
-    def test_peak_memory_stays_below_twice_the_csv(self, capsys, tmp_path):
+    def test_peak_memory_stays_below_two_fifths_of_the_csv(self, capsys, tmp_path):
         out_csv = tmp_path / "large.csv"
         argv = [*self.ARGS, "--points", "24000", "--csv", str(out_csv)]
         assert run_cli(capsys, *self.ARGS, "--points", "5")[0] == 0  # parser and imports warm
@@ -841,7 +847,9 @@ class TestStreamedCsv:
         assert code == 0
         size = out_csv.stat().st_size
         assert size > 7_000_000
-        assert peak < 2 * size, (peak, size)
+        # rows go out a block of grid points at a time: the peak, about 0.35 of
+        # the CSV's size, is the grid, its readings and rates, and one block
+        assert peak < 0.4 * size, (peak, size)
 
     def test_success_makes_no_unlink_call(self, capsys, tmp_path, monkeypatch):
         out_csv = tmp_path / "sweep.csv"
@@ -854,6 +862,21 @@ class TestStreamedCsv:
         assert (code, out) == (0, f"wrote 15 rows to {out_csv}\n")
         assert calls == []
         assert [p.name for p in tmp_path.iterdir()] == ["sweep.csv"]
+
+
+@pytest.mark.parametrize("points", [1023, 1024, 1025, 2055])
+@pytest.mark.parametrize("vary", ["chi", "alpha"])
+def test_sweep_csv_bytes_across_block_edges(capsys, tmp_path, vary, points):
+    template = Scenario(Magnet(Path.II, -0.7, Truncation.QUADRATIC), 0.4)
+    argv = ["sweep", "--vary", vary, "--points", str(points), "--insertion", "magnet", "--path", "II",
+            "--truncation", "quadratic", "--alpha-rad", "-0.7", "--chi-rad", "0.4", "--scale-ref-cps", "3.5"]
+    start, stop, space = (-1.0, 4.0, np.linspace) if vary == "chi" else (0.01, 0.3, np.geomspace)
+    argv += [f"--start={start!r}", f"--stop={stop!r}"]
+    expected = expected_sweep_csv(template, vary, space(start, stop, points), 3.5)
+    assert run_cli(capsys, *argv) == (0, expected, "")
+    out_csv = tmp_path / "sweep.csv"
+    assert run_cli(capsys, *argv, "--csv", str(out_csv)) == (0, f"wrote {3 * points} rows to {out_csv}\n", "")
+    assert out_csv.read_bytes() == expected.encode("utf-8")
 
 
 def expected_sweep_csv(template: Scenario, vary: str, grid: np.ndarray, scale: float) -> str:

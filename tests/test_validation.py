@@ -353,3 +353,10 @@ def test_grid_reads_python_ints_past_uint64_as_a_scalar_does(values):
 def test_grid_int_too_large_for_a_float_names_the_parameter():
     with pytest.raises(ValueError, match=r"^chi_rad entries must be finite, got -1000+ at index 1$"):
         run_batch(Scenario(), chi_rad=[0.5, -(10**400)])
+
+
+@pytest.mark.parametrize("norm", [10**400, -(10**400)], ids=["positive", "negative"])
+def test_count_rate_of_an_int_past_the_float_range_names_the_intensity(norm):
+    with pytest.raises(ValueError, match=r"^intensity_norm of magnitude inf has no finite count rate$"):
+        count_rate(norm, 11.25)
+    assert count_rate(2**60, 1.0) == float(2**62)  # an int inside the float range keeps its rate
