@@ -49,12 +49,6 @@ __all__ = [
 # noise and excluded from log-log fits.
 ERROR_FLOOR = 1e-13
 
-# The largest Poisson mean numpy's sampler takes, computed as numpy does from
-# the largest C long (np.iinfo would cost ~0.1 MB of resident memory).
-_LONG_MAX = 2 ** (8 * np.dtype("l").itemsize - 1) - 1
-_POISSON_MEAN_MAX = _LONG_MAX - math.sqrt(_LONG_MAX) * 10
-
-
 def fit_loglog_slope(x_values, errors, floor: float = ERROR_FLOOR) -> float:
     """Least-squares slope of log(error) against log(x), ignoring floored points.
 
@@ -185,21 +179,22 @@ def poisson_counts(rate_cps: float, duration_s: float, seed: int) -> CountSample
 
     Deterministic for a given seed, a non-negative integer.  The rate
     estimate is counts/duration and its one-sigma uncertainty
-    sqrt(counts)/duration.  The mean count, rate times duration, must not
-    exceed the largest mean numpy's Poisson sampler takes (about 9.2e18).
+    sqrt(counts)/duration.  A mean count (rate times duration) past the limit
+    of numpy's Poisson sampler, about 9.2e18, is refused by the sampler itself.
     """
     rate = _require_real("rate_cps", rate_cps, "be >= 0")
     duration = _require_real("duration_s", duration_s, "be positive")
     if not isinstance(seed, (int, np.integer)) or seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     mean = rate * duration
-    if not mean <= _POISSON_MEAN_MAX:
+    rng = np.random.default_rng(seed)
+    try:
+        counts = int(rng.poisson(mean))
+    except ValueError:  # the mean is past numpy's limit, the one failure left to reach it
         raise ValueError(
             f"mean count {mean!r} (rate_cps {rate_cps!r} times duration_s {duration_s!r}) "
-            f"exceeds the Poisson sampler's limit {_POISSON_MEAN_MAX!r}"
-        )
-    rng = np.random.default_rng(seed)
-    counts = int(rng.poisson(mean))
+            "exceeds the Poisson sampler's limit"
+        ) from None
     return CountSample(
         rate_cps=rate,
         duration_s=duration,

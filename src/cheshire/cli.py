@@ -38,7 +38,7 @@ from .experiment import (
     run,
     run_batch,
 )
-from .qcore import Path, _require_real
+from .qcore import Path, _require_member, _require_real
 from .weak import exact_weak_values, projective_spin_expectation
 
 __all__ = ["parse_scenario_config", "format_scenario_config", "main"]
@@ -175,11 +175,12 @@ def parse_scenario_config(text: str) -> tuple[Scenario, float]:
 
 
 def format_scenario_config(scenario: Scenario, scale_ref_cps: float = DEFAULT_SCALE_REF_CPS) -> str:
-    """Serialize a scenario and scale in canonical radian form; re-parsing reproduces both exactly."""
-    ins = scenario.insertion
+    """Serialize a scenario and scale (checked as parsed) in radian form; re-parsing gives both back."""
+    ins = _require_member("scenario", scenario, Scenario).insertion
+    scale = _require_real("scale_ref_cps", scale_ref_cps, "lie in [1e-12, 1e12]")
     name = next(name for name, cls in _INSERTIONS.items() if isinstance(ins, cls or type(None)))
     values = {f: getattr(ins, f) for f in _INSERTION_FIELDS[name]}
-    values.update(insertion=name, chi_rad=scenario.chi_rad, scale_ref_cps=scale_ref_cps)
+    values.update(insertion=name, chi_rad=scenario.chi_rad, scale_ref_cps=scale)
     lines = []
     for key, (field, convert) in _KEYS.items():
         if key != field or field not in values:

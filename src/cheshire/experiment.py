@@ -240,9 +240,9 @@ def count_rate(intensity_norm, scale_ref_cps: float):
     """Count rate of a normalized intensity (a float or an array).
 
     ``intensity_norm / I_REF_NORM * scale_ref_cps``, so the empty beamline
-    reads exactly ``scale_ref_cps`` (in [1e-12, 1e12] cps) at O_SELECTED.  An
-    intensity that is not a real number or array of them, or whose rate is
-    not finite, raises ValueError naming ``intensity_norm``.
+    reads exactly ``scale_ref_cps`` (in [1e-12, 1e12] cps) at O_SELECTED, in
+    float64 whatever the input's dtype.  An intensity that is not a real number or
+    array of them, or whose rate is not finite, raises ValueError naming ``intensity_norm``.
     """
     scale = _require_real("scale_ref_cps", scale_ref_cps, "lie in [1e-12, 1e12]")
     if type(intensity_norm) is float:
@@ -258,6 +258,8 @@ def count_rate(intensity_norm, scale_ref_cps: float):
         raise ValueError(f"intensity_norm must be a real number or array, got {intensity_norm!r}")
     if not math.isfinite(peak / I_REF_NORM * scale):
         raise ValueError(f"intensity_norm of magnitude {peak!r} has no finite count rate")
+    if isinstance(intensity_norm, (np.ndarray, np.generic)):  # the rate checked is a float64 one
+        intensity_norm = intensity_norm.astype(float, copy=False)
     return intensity_norm / I_REF_NORM * scale
 
 

@@ -57,13 +57,12 @@ _ALPHA_MAX = 1e6
 _SCALE_MAX = 1e12
 
 # Input rules, keyed by the rule as its error states it.  Each allows the
-# finite floats in [low, high] except one value; NaN excludes nothing.
+# finite floats in [low, high] except one value, an endpoint; NaN excludes nothing.
 _MAX = sys.float_info.max
 _RULES = {
     "be finite": (-_MAX, _MAX, math.nan),
     "be positive": (0.0, _MAX, 0.0),
     "be >= 0": (0.0, _MAX, math.nan),
-    "be finite and nonzero": (-_MAX, _MAX, 0.0),
     "lie in [0, 1]": (0.0, 1.0, math.nan),
     "lie in [0, 1)": (0.0, 1.0, 1.0),
     "lie in [-1e6, 1e6]": (-_ALPHA_MAX, _ALPHA_MAX, math.nan),
@@ -107,8 +106,7 @@ def _require_grid(name: str, values, rule: str = "be finite") -> np.ndarray:
     low, high, excluded = _RULES[rule]
     if grid.size:  # the least and the greatest entry decide, and a NaN is both
         least, most = float(np.minimum.reduce(grid)), float(np.maximum.reduce(grid))
-        inside = low <= least <= most <= high and least != excluded != most
-        if not inside or (low < excluded < high and excluded in grid):
+        if not (low <= least <= most <= high and least != excluded != most):
             i = int(np.argmin((grid >= low) & (grid <= high) & (grid != excluded)))
             raise ValueError(f"{name} entries must {rule}, got {float(grid[i])!r} at index {i}")
     return grid

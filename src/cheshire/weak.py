@@ -109,7 +109,7 @@ class WeakValueSet:
     """The four canonical weak values for one pre/post-selection pair.
 
     The path projectors resolve the identity, so ``pi_i + pi_ii`` must equal
-    one; the constructor enforces that, and finite parts, as a consistency guard.
+    one; the constructor enforces that, and finite parts, each stored as a Python complex.
     """
 
     pi_i: complex
@@ -126,6 +126,7 @@ class WeakValueSet:
                 finite = False
             if not finite:
                 raise ValueError(f"{field.name} must be finite, got {value!r}")
+            object.__setattr__(self, field.name, complex(value))
         total = self.pi_i + self.pi_ii
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"path projector weak values must sum to 1, got {total}")
@@ -163,6 +164,7 @@ def weakvalue_intensity(
 
     The module docstring's expansion of I_ref |1 + (c - 1)<Pi_j>_w + i s <sigma_z Pi_j>_w|^2,
     with an error of third order in alpha; a real <sigma_z Pi_j>_w adds 0 at first order.
+    A prediction that is not finite (from a large angle or weak value) raises ValueError.
     """
     alpha = _require_real("alpha_rad", alpha_rad)
     i_ref_norm = _require_real("i_ref_norm", i_ref_norm, "be positive")
@@ -172,8 +174,10 @@ def weakvalue_intensity(
     else:
         pi_w, sigma_pi_w = weak_values.pi_ii, weak_values.sigma_pi_ii
     quarter = alpha * alpha / 4.0
-    first = 1.0 - alpha * sigma_pi_w.imag  # 1.0 - (±0.0) = 1.0 for real weak values
-    value = float(i_ref_norm * (first - quarter * pi_w.real + quarter * abs(sigma_pi_w) ** 2))
+    re, im = sigma_pi_w.real, sigma_pi_w.imag
+    first = 1.0 - alpha * im  # 1.0 - (±0.0) = 1.0 for real weak values
+    # |w|^2 as re*re + im*im, in Python floats: it overflows to inf, into the check below
+    value = i_ref_norm * (first - quarter * pi_w.real + quarter * (re * re + im * im))
     if not math.isfinite(value):
         raise ValueError(
             f"alpha_rad {alpha_rad!r} gives a prediction that is not finite ({value!r}) "
@@ -243,7 +247,7 @@ def estimate_sigma_pi(
     at zero (where the first-order map is singular) the square root of the
     squared-magnitude sigma is reported instead.
     """
-    alpha = _require_real("alpha_rad", alpha_rad, "be finite and nonzero")
+    alpha = _require_real("alpha_rad", alpha_rad)
     i_ref_norm = _require_real("i_ref_norm", i_ref_norm, "be positive")
     i_mag_norm = _require_real("i_mag_norm", i_mag_norm)
     pi_w = _require_real("pi_w", pi_w)

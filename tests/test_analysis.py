@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -302,6 +303,26 @@ class TestPoissonCounts:
     def test_rejects_a_mean_count_beyond_the_sampler(self, rate, duration):
         with pytest.raises(ValueError, match="exceeds the Poisson sampler's limit"):
             poisson_counts(rate, duration, 1)
+
+    def test_refuses_exactly_where_numpys_sampler_does(self):
+        def numpy_takes(mean):
+            try:
+                np.random.default_rng(0).poisson(mean)
+            except ValueError:
+                return False
+            return True
+
+        # numpy's largest mean, by bisection over the bits of positive doubles
+        lo, hi = int(np.float64(1e18).view(np.int64)), int(np.float64(1e19).view(np.int64))
+        assert numpy_takes(1e18) and not numpy_takes(1e19)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if numpy_takes(float(np.int64(mid).view(np.float64))) else (lo, mid)
+        limit, past = (float(np.int64(bits).view(np.float64)) for bits in (lo, hi))
+        assert poisson_counts(limit, 1.0, 0).counts == int(np.random.default_rng(0).poisson(limit))
+        message = f"mean count {past!r} (rate_cps {past!r} times duration_s 1.0) exceeds the Poisson sampler's limit"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            poisson_counts(past, 1.0, 0)
 
     def test_counts_for_valid_seeds_are_pinned(self):
         counts = [poisson_counts(11.25, 4500.0, seed).counts for seed in (0, 42, 2**32 - 1)]

@@ -251,6 +251,12 @@ class TestConfigFile:
         text = format_scenario_config(scenario)
         assert parse_scenario_config(text) == (scenario, DEFAULT_SCALE_REF_CPS)
 
+    @pytest.mark.parametrize("scale, written", [(11, "11.0"), (True, "1.0"), (np.float32(2.5), "2.5")])
+    def test_format_writes_a_checked_scale_as_a_float_that_parses_back(self, scale, written):
+        text = format_scenario_config(Scenario(), scale)
+        assert text.endswith(f"\nscale_ref_cps = {written}\n")
+        assert parse_scenario_config(text) == (Scenario(), scale)
+
 
 # The whole scenario space: no insertion, any absorber, a magnet at any
 # angle in [-1e6, 1e6] in any truncation, any finite phase; any scale in

@@ -4,8 +4,8 @@ Every public scalar parameter takes a finite number in its range and
 rejects anything else, ``None`` and text included, with a ValueError whose
 message starts with the parameter's name.  Every path parameter rejects
 anything that is not a :class:`Path` with a TypeError, and every truncation
-parameter anything that is not a :class:`Truncation`.  State, operator and weak-value
-parameters reject anything that is not their class with a TypeError too.
+parameter anything that is not a :class:`Truncation`.  State, operator, weak-value
+and scenario parameters reject anything that is not their class with a TypeError too.
 Every grid parameter takes a scalar or a one-dimensional array of real
 numbers whose entries meet its rule, and rejects anything else with a
 ValueError whose message starts with the parameter's name.  A magnet's
@@ -29,6 +29,7 @@ from cheshire.analysis import (
     reproduce_benchmark_table,
     truncation_scan,
 )
+from cheshire.cli import format_scenario_config
 from cheshire.elements import (
     Truncation,
     absorber,
@@ -91,6 +92,7 @@ SCALARS = [
     ("sweep_chi", "scale_ref_cps", lambda v: sweep_chi(Scenario(), [0.0], v)),
     ("sweep_alpha", "scale_ref_cps", lambda v: sweep_alpha(MAGNET_II, [0.1], v)),
     ("reproduce_benchmark_table", "scale_ref_cps", reproduce_benchmark_table),
+    ("format_scenario_config", "scale_ref_cps", lambda v: format_scenario_config(Scenario(), v)),
     ("estimate_sigma_pi", "i_mag_norm", lambda v: estimate_sigma_pi(v, 0.25, 0.2, 0.0)),
     ("estimate_sigma_pi", "i_ref_norm", lambda v: estimate_sigma_pi(0.25, v, 0.2, 0.0)),
     ("estimate_sigma_pi", "alpha_rad", lambda v: estimate_sigma_pi(0.25, 0.25, v, 0.0)),
@@ -181,6 +183,7 @@ OBJECTS = [
     ("compose", "b", JointOperator, lambda v: compose(identity(), v)),
     ("is_unitary", "op", JointOperator, is_unitary),
     ("recombine", "state", JointState, recombine),
+    ("format_scenario_config", "scenario", Scenario, format_scenario_config),
 ]
 
 TRUNCATIONS = [
@@ -220,6 +223,7 @@ def test_object_parameter_rejects_what_is_not_its_class(parameter, kind, call):
         JointOperator: path_projector_operator(Path.I).matrix,
         JointState: initial_state().amp,
         WeakValueSet: (0j, 1 + 0j, 1 + 0j, 0j),
+        Scenario: (None, 0.0),
     }[kind]
     with pytest.raises(TypeError) as info:
         call(bad)

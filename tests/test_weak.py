@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -113,6 +114,12 @@ class TestWeakValues:
         with pytest.raises(ValueError, match=r"^pi_ii must be finite, got 1000+$"):
             WeakValueSet(0, 10**400, 0, 0)
 
+    def test_weak_value_set_parts_read_back_as_python_complex(self):
+        values = WeakValueSet(np.float32(0.25), 0.75, np.complex64(1 - 0.5j), True)
+        parts = (values.pi_i, values.pi_ii, values.sigma_pi_i, values.sigma_pi_ii)
+        assert [type(part) for part in parts] == [complex] * 4
+        assert parts == (0.25 + 0j, 0.75 + 0j, 1 - 0.5j, 1 + 0j)
+
 
 class TestProjectiveExpectation:
     def test_zero_on_both_paths(self):
@@ -194,6 +201,22 @@ class TestWeakValueIntensity:
         with pytest.raises(ValueError, match=r"^alpha_rad 1e\+200 gives a prediction that is not finite"):
             weakvalue_intensity(1e200, path, exact_weak_values(), 0.25)
 
+    @pytest.mark.parametrize("alpha", [0.0, 0.1])
+    @pytest.mark.parametrize(
+        "part", [1e200, 1e308, -1e308, complex(1.7e308, 1.7e308)], ids=["1e200", "1e308", "-1e308", "complex"]
+    )
+    def test_rejects_a_weak_value_whose_prediction_is_not_finite(self, part, alpha):
+        # |w|^2 overflows to inf (times alpha^2/4 = 0 it is a NaN), and the guard sees it
+        for path, values in ((Path.I, WeakValueSet(0, 1, part, 0)), (Path.II, WeakValueSet(0, 1, 0, part))):
+            with pytest.raises(ValueError, match=rf"^alpha_rad {alpha!r} gives a prediction that is not finite"):
+                weakvalue_intensity(alpha, path, values, 0.25)
+
+    def test_a_float32_weak_value_gives_the_float64_prediction(self):
+        part = np.float32(3e38)
+        m, quarter = float(part), 0.1 * 0.1 / 4.0
+        value = weakvalue_intensity(0.1, Path.I, WeakValueSet(0, 1, part, 0), 0.25)
+        assert type(value) is float and value == 0.25 * (1.0 + quarter * (m * m))
+
     @pytest.mark.parametrize("path, expected", [(Path.I, 6.25e306), (Path.II, -6.25e306)])
     def test_large_finite_prediction_is_returned(self, path, expected):
         assert weakvalue_intensity(1e154, path, exact_weak_values(), 0.25) == expected
@@ -244,14 +267,11 @@ class TestEstimateSigmaPi:
         with pytest.raises(ValueError, match="inconsistent"):
             estimate_sigma_pi(0.25 * 0.9, 0.25, 0.2, pi_w=0.0)
 
-    def test_rejects_zero_alpha(self):
-        with pytest.raises(ValueError):
-            estimate_sigma_pi(0.25, 0.25, 0.0, pi_w=0.0)
-
-    @pytest.mark.parametrize("alpha", [1e-162, 1e-155, -1e-155])
+    @pytest.mark.parametrize("alpha", [0.0, -0.0, 1e-162, 1e-155, -1e-155])
     def test_rejects_alpha_too_small_to_invert(self, alpha):
-        # alpha^2 underflows to 0 or 4/alpha^2 overflows to inf
-        with pytest.raises(ValueError, match=f"alpha_rad is too small .* got {alpha!r}"):
+        # alpha^2 is 0 (a zero of either sign, or an underflow) or 4/alpha^2 overflows to inf
+        match = rf"^alpha_rad is too small for 4/alpha\^2 to be finite, got {re.escape(repr(alpha))}$"
+        with pytest.raises(ValueError, match=match):
             estimate_sigma_pi(0.25, 0.25, alpha, pi_w=0.0)
 
     def test_uncertainty_propagation(self):
