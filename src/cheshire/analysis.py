@@ -25,7 +25,7 @@ from .experiment import (
     _ROTATION,
     Magnet,
     Scenario,
-    _readings,
+    _o_selected,
     closed_form_o,
     count_rate,
 )
@@ -82,12 +82,12 @@ def _slope(log_x: np.ndarray, err: np.ndarray, floor: float) -> float:
 
 
 def _o_selected_by_truncation(path: Path, alpha: np.ndarray) -> np.ndarray:
-    """O_SELECTED at chi = 0 behind a magnet on ``path``: one row per truncation, in one pass."""
+    """O_SELECTED alone at chi = 0 behind a magnet on ``path``: one row per truncation, one pass."""
     half = alpha / 2.0
     c, s = np.empty((2, len(_ROTATION), alpha.size))
     for row, rotation in enumerate(_ROTATION.values()):
         c[row], s[row] = rotation(half)
-    return _readings(path, 0.0, c, s)[0]
+    return _o_selected(path, 0.0, c, s)
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,14 +147,14 @@ def cheshire_witness(alpha_rad: float) -> CheshireDeficits:
     with c = 1, is exactly 0.0.  The quadratic and exact deficits both
     equal I_ref * alpha^2/4 to leading order, so their ratio tends to one
     as alpha tends to zero.  Each row of ``_ROTATION`` at ``alpha_rad``, in
-    (0, 1e6], is read out in Python floats by the readout of
-    :func:`cheshire.experiment.run`, with the bits of the last point of a
-    :func:`truncation_scan` whose grid ends at ``alpha_rad``.
+    (0, 1e6], is read out in Python floats by ``_o_selected``, the first
+    reading of :func:`cheshire.experiment.run`, with the bits of the last
+    point of a :func:`truncation_scan` whose grid ends at ``alpha_rad``.
     """
     alpha = _require_real("alpha_rad", alpha_rad, "lie in (0, 1e6]")
     half = alpha / 2.0
     exact, linear, quadratic = (
-        I_REF_NORM - _readings(Path.II, 0.0, *map(float, rotation(half)))[0]
+        I_REF_NORM - _o_selected(Path.II, 0.0, *map(float, rotation(half)))
         for rotation in _ROTATION.values()
     )
     return CheshireDeficits(

@@ -35,7 +35,8 @@ term in c does not, and path I sees only s.  The same code takes Python
 floats and numpy arrays: :func:`run_batch` reads a whole grid (each sweep is
 one call), :func:`run` one point with the same bits as its row, both with
 sin(chi) from :mod:`math`; the scan and the witness of
-:mod:`cheshire.analysis` read the rows of ``_ROTATION`` at k = 0.  The 4x4
+:mod:`cheshire.analysis` read only O_SELECTED, :func:`_o_selected`, the
+first reading, for the rows of ``_ROTATION`` at k = 0.  The 4x4
 joint algebra of :mod:`cheshire.qcore` and :mod:`cheshire.elements` is on
 neither route; it serves :func:`cheshire.weak.weak_value` for arbitrary
 operators and is the independent reference the tests check both against.
@@ -188,6 +189,11 @@ def _factor(insertion: Insertion, alpha: np.ndarray | None = None) -> tuple:
     return insertion.path, c, s
 
 
+def _o_selected(path: Path, k, c, s):
+    """The first reading of :func:`_readings`, O_selected, alone."""
+    return ((1.0 + s * s) + k) * 0.25 if path is Path.I else c * c * 0.25
+
+
 def _readings(path: Path, k, c, s) -> tuple:
     """``(O_selected, O_unselected, H)`` in closed form, for floats or arrays alike.
 
@@ -197,11 +203,9 @@ def _readings(path: Path, k, c, s) -> tuple:
     one: the linear term s leaves path II's O_selected untouched, and path
     I's does not see c.  Each is summed in this one order.
     """
-    cc, ss = c * c, s * s
-    r = 1.0 + (cc + ss)
-    if path is Path.I:
-        return ((1.0 + ss) + k) * 0.25, (r + k) * 0.25, (r - k) * 0.25
-    return cc * 0.25, (r - k) * 0.25, (r + k) * 0.25
+    r = 1.0 + (c * c + s * s)
+    selected, plus, minus = _o_selected(path, k, c, s), (r + k) * 0.25, (r - k) * 0.25
+    return (selected, plus, minus) if path is Path.I else (selected, minus, plus)
 
 
 def run_batch(template: Scenario, *, chi_rad=None, alpha_rad=None) -> np.ndarray:

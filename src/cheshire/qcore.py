@@ -73,14 +73,17 @@ _RULES = {
 
 def _require_real(name: str, value, rule: str = "be finite") -> float:
     """``value`` as a float if it is a finite number meeting ``rule``; else ValueError, text too."""
-    if type(value) is not float and not isinstance(value, (str, bytes)):
+    low, high, excluded = _RULES[rule]
+    if type(value) is float:
+        if low <= value <= high and value != excluded:
+            return value
+    elif not isinstance(value, (str, bytes)):
         try:
             value = float(value)
         except (TypeError, ValueError, OverflowError):
             pass
-    low, high, excluded = _RULES[rule]
-    if type(value) is float and low <= value <= high and value != excluded:
-        return value
+        else:
+            return _require_real(name, value, rule)
     raise ValueError(f"{name} must {rule}, got {value!r}")
 
 

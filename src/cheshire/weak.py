@@ -40,6 +40,7 @@ import numpy as np
 
 from .experiment import _POSTSELECTED, _PREPARED
 from .qcore import (
+    _MAX,
     ID2,
     SIGMA_Z,
     JointOperator,
@@ -164,7 +165,8 @@ def weakvalue_intensity(
 
     The module docstring's expansion of I_ref |1 + (c - 1)<Pi_j>_w + i s <sigma_z Pi_j>_w|^2,
     with an error of third order in alpha; a real <sigma_z Pi_j>_w adds 0 at first order.
-    A prediction that is not finite (from a large angle or weak value) raises ValueError.
+    A prediction that is not finite raises ValueError naming the weak value if |w|^2
+    overflows, else the angle.
     """
     alpha = _require_real("alpha_rad", alpha_rad)
     i_ref_norm = _require_real("i_ref_norm", i_ref_norm, "be positive")
@@ -179,8 +181,11 @@ def weakvalue_intensity(
     # |w|^2 as re*re + im*im, in Python floats: it overflows to inf, into the check below
     value = i_ref_norm * (first - quarter * pi_w.real + quarter * (re * re + im * im))
     if not math.isfinite(value):
+        name, culprit = "alpha_rad", alpha_rad
+        if not math.isfinite(re * re + im * im):
+            name, culprit = f"sigma_pi_{path.name.lower()}", sigma_pi_w
         raise ValueError(
-            f"alpha_rad {alpha_rad!r} gives a prediction that is not finite ({value!r}) "
+            f"{name} {culprit!r} gives a prediction that is not finite ({value!r}) "
             f"at i_ref_norm {i_ref_norm!r}"
         )
     return value
@@ -198,22 +203,29 @@ def projective_spin_expectation(path: Path) -> float:
 
 @dataclass(frozen=True)
 class WeakValueEstimate:
-    """An estimated weak-value magnitude with a propagated 1-sigma uncertainty."""
+    """An estimated weak-value magnitude with a propagated 1-sigma uncertainty.
+
+    ``value`` is a finite real number and ``uncertainty`` one in [0, inf), both
+    stored as given.  Two Python floats, as the estimators pass, meet one test;
+    anything else goes through ``_require_real``, which words any refusal.
+    """
 
     value: float
     uncertainty: float
     source: str
 
     def __post_init__(self) -> None:
-        _require_real("estimate value", self.value)
-        _require_real("uncertainty", self.uncertainty, "be >= 0")
+        v, u = self.value, self.uncertainty
+        if not (type(v) is float is type(u) and -_MAX <= v <= _MAX and 0.0 <= u <= _MAX):
+            _require_real("estimate value", v)
+            _require_real("uncertainty", u, "be >= 0")
 
 
 def _estimate(value: float, uncertainty: float, source: str, i_ref_norm: float):
     """The estimate; an uncertainty that overflows on a finite value blames ``i_ref_norm``."""
     if math.isfinite(value) and not math.isfinite(uncertainty):
         raise ValueError(f"i_ref_norm is too small for a finite uncertainty, got {i_ref_norm!r}")
-    return WeakValueEstimate(value=value, uncertainty=uncertainty, source=source)
+    return WeakValueEstimate(value, uncertainty, source)
 
 
 def estimate_sigma_pi(

@@ -30,6 +30,7 @@ from cheshire.experiment import (
     Magnet,
     Scenario,
     _factor,
+    _o_selected,
     _readings,
     count_rate,
     initial_state,
@@ -207,8 +208,8 @@ def test_the_rest_of_the_float_range_is_refused(alpha, scale, path, truncation):
 
 class TestReadings:
     """``_readings`` is the one closed form of the three ports, for the array
-    pass and for the scalar readout alike; the truncation scan and the witness
-    take it at chi = 0, k = 0."""
+    pass and for the scalar readout alike; its first reading is ``_o_selected``,
+    which the truncation scan and the witness take alone at chi = 0, k = 0."""
 
     @settings(max_examples=300, deadline=None)
     @given(paths, st.lists(st.floats(0.0, _ALPHA_MAX, exclude_min=True), min_size=1, max_size=8))
@@ -226,6 +227,19 @@ class TestReadings:
         deficits = [witness.deficit_exact, witness.deficit_linear, witness.deficit_quadratic]
         last = _o_selected_by_truncation(Path.II, alpha)[:, -1]
         assert _bits_or_nan(deficits) == _bits_or_nan(0.25 - last)
+
+    # O_selected alone, as the scan and the witness read it, is the first
+    # reading bit for bit, on floats and on one-element arrays
+    @settings(max_examples=1000, deadline=None)
+    @given(paths, *[st.floats(allow_nan=False)] * 3)
+    @example(Path.I, -0.0, 0.0, -0.0)
+    @example(Path.II, 0.0, -0.0, math.inf)
+    def test_o_selected_is_the_first_reading_bit_for_bit(self, path, k, c, s):
+        with np.errstate(over="ignore", invalid="ignore"):
+            for args in ((k, c, s), [np.array([x]) for x in (k, c, s)]):
+                alone, first = _o_selected(path, *args), _readings(path, *args)[0]
+                assert type(alone) is type(first)
+                assert _bits_or_nan(np.ravel(alone)) == _bits_or_nan(np.ravel(first))
 
     # on floats (the scalar readout) and on arrays (the array pass, the scan):
     # so run equals run_batch with no numpy arithmetic of its own
@@ -265,7 +279,8 @@ class TestReadings:
     @pytest.fixture
     def real_readout(self, monkeypatch):
         """numpy without ``multiply`` or ``exp`` for both modules, and the dtypes
-        of every argument and result of each readout formula called."""
+        of every argument and result of each readout formula called:
+        ``_readings`` in :mod:`experiment`, ``_o_selected`` in :mod:`analysis`."""
 
         class NumpyWithoutComplexKernel:
             def __getattr__(self, name):
@@ -280,16 +295,17 @@ class TestReadings:
 
         def spy(formula):
             def recorded(path, *args):
-                readings = formula(path, *args)
+                result = formula(path, *args)
+                readings = result if formula is _readings else (result,)
                 dtypes.append({np.asarray(x).dtype for x in (*args, *readings)})
-                return readings
+                return result
 
             return recorded
 
         for module in (experiment, analysis):
             monkeypatch.setattr(module, "np", NumpyWithoutComplexKernel())
-        for module in (experiment, analysis):
-            monkeypatch.setattr(module, "_readings", spy(_readings))
+        monkeypatch.setattr(experiment, "_readings", spy(_readings))
+        monkeypatch.setattr(analysis, "_o_selected", spy(_o_selected))
         return dtypes
 
     # every readout is real arithmetic: no complex phase factor, no complex

@@ -364,3 +364,55 @@ def test_count_rate_of_an_int_past_the_float_range_names_the_intensity(norm):
     with pytest.raises(ValueError, match=r"^intensity_norm of magnitude inf has no finite count rate$"):
         count_rate(norm, 11.25)
     assert count_rate(2**60, 1.0) == float(2**62)  # an int inside the float range keeps its rate
+
+
+def _require_real_two_tests(name, value, rule="be finite"):
+    """The scalar check written with its float test twice, once to convert and
+    once to decide: the reference that ``_require_real``, which tests a Python
+    float once and converts anything else off that path, must agree with."""
+    if type(value) is not float and not isinstance(value, (str, bytes)):
+        try:
+            value = float(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    low, high, excluded = _RULES[rule]
+    if type(value) is float and low <= value <= high and value != excluded:
+        return value
+    raise ValueError(f"{name} must {rule}, got {value!r}")
+
+
+def _outcome(check, value, rule):
+    """What ``check`` makes of ``value``: the type and bits returned, or the message."""
+    try:
+        result = check("x", value, rule)
+    except ValueError as exc:
+        return "error", str(exc)
+    return type(result), np.float64(result).view(np.int64)
+
+
+# every rule's bounds with their neighbours, the signed zeros and the non-finite
+# floats, each also as a numpy scalar, then other numbers and non-numbers
+_EDGES = [
+    edge
+    for bound in sorted({x for low, high, _ in _RULES.values() for x in (low, high)})
+    for edge in (math.nextafter(bound, -math.inf), bound, math.nextafter(bound, math.inf))
+] + [0.0, -0.0, math.nan, math.inf, -math.inf]
+_FLOAT32_EDGES = [
+    edge
+    for bound in map(np.float32, [x for x in _EDGES if not abs(x) > 3e38])
+    for edge in (np.nextafter(bound, np.float32(-np.inf)), bound, np.nextafter(bound, np.float32(np.inf)))
+]
+_SCALAR_INPUTS = (
+    _EDGES
+    + [np.float64(x) for x in _EDGES]
+    + _FLOAT32_EDGES
+    + [np.int64(x) for x in (0, 1, -1, 10**6, 10**6 + 1, -(10**6) - 1, 10**12, 2**63 - 1, -(2**63))]
+    + [True, False, np.True_, np.False_]
+    + [10**400, -(10**400), "0.5", b"1", None, 1j]
+)
+
+
+@pytest.mark.parametrize("rule", list(_RULES))
+def test_scalar_check_matches_the_two_test_reference(rule):
+    for value in _SCALAR_INPUTS:
+        assert _outcome(_require_real, value, rule) == _outcome(_require_real_two_tests, value, rule), value

@@ -21,6 +21,7 @@ from cheshire.experiment import (
 from cheshire.qcore import JointOperator, JointState, Path, identity
 from cheshire.weak import (
     DegeneratePostselectionError,
+    WeakValueEstimate,
     WeakValueSet,
     _contract,
     estimate_pi_from_absorber,
@@ -206,9 +207,16 @@ class TestWeakValueIntensity:
         "part", [1e200, 1e308, -1e308, complex(1.7e308, 1.7e308)], ids=["1e200", "1e308", "-1e308", "complex"]
     )
     def test_rejects_a_weak_value_whose_prediction_is_not_finite(self, part, alpha):
-        # |w|^2 overflows to inf (times alpha^2/4 = 0 it is a NaN), and the guard sees it
+        # |w|^2 overflows to inf (times alpha^2/4 = 0 it is a NaN): the weak value
+        # is at fault, whatever the angle, and the error names it
+        value = "nan" if alpha == 0.0 else "inf"
         for path, values in ((Path.I, WeakValueSet(0, 1, part, 0)), (Path.II, WeakValueSet(0, 1, 0, part))):
-            with pytest.raises(ValueError, match=rf"^alpha_rad {alpha!r} gives a prediction that is not finite"):
+            name = f"sigma_pi_{path.name.lower()}"
+            message = (
+                f"{name} {complex(part)!r} gives a prediction that is not finite ({value}) "
+                "at i_ref_norm 0.25"
+            )
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 weakvalue_intensity(alpha, path, values, 0.25)
 
     def test_a_float32_weak_value_gives_the_float64_prediction(self):
@@ -220,6 +228,43 @@ class TestWeakValueIntensity:
     @pytest.mark.parametrize("path, expected", [(Path.I, 6.25e306), (Path.II, -6.25e306)])
     def test_large_finite_prediction_is_returned(self, path, expected):
         assert weakvalue_intensity(1e154, path, exact_weak_values(), 0.25) == expected
+
+
+class TestWeakValueEstimate:
+    """Built directly, an estimate takes any finite real value and any real
+    uncertainty in [0, inf), stored as given, and refuses the rest."""
+
+    @pytest.mark.parametrize(
+        "value",
+        [math.nan, math.inf, -math.inf, "x", None, 10**400],
+        ids=["nan", "inf", "-inf", "'x'", "None", "10**400"],
+    )
+    def test_refuses_a_value_that_is_not_a_finite_real(self, value):
+        message = f"estimate value must be finite, got {value!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            WeakValueEstimate(value, 0.1, "direct")
+
+    @pytest.mark.parametrize("uncertainty", [math.nan, math.inf, -1.0], ids=repr)
+    def test_refuses_an_uncertainty_outside_zero_to_inf(self, uncertainty):
+        message = f"uncertainty must be >= 0, got {uncertainty!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            WeakValueEstimate(0.5, uncertainty, "direct")
+
+    def test_checks_the_value_before_the_uncertainty(self):
+        with pytest.raises(ValueError, match="^estimate value must be finite, got nan$"):
+            WeakValueEstimate(math.nan, -1.0, "direct")
+
+    @pytest.mark.parametrize(
+        "number", [np.float64(0.5), np.float32(0.25), 3, True, 0.0, 1.7e308], ids=repr
+    )
+    def test_takes_any_finite_real_for_either_field_as_given(self, number):
+        for value, uncertainty in ((number, 0.1), (0.5, number), (number, number)):
+            est = WeakValueEstimate(value, uncertainty, "direct")
+            assert est.value is value and est.uncertainty is uncertainty
+
+    def test_takes_a_negative_zero_uncertainty(self):
+        est = WeakValueEstimate(-2.0, -0.0, "direct")
+        assert math.copysign(1.0, est.uncertainty) == -1.0
 
 
 class TestEstimateSigmaPi:
