@@ -162,9 +162,13 @@ def cheshire_witness(alpha_rad: float) -> CheshireDeficits:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class CountSample:
-    """One simulated counting interval."""
+    """One simulated counting interval.
+
+    Frozen; :func:`poisson_counts` builds one per call, so ``__init__`` is written
+    out to store the fields straight into ``__dict__``, as ``IntensityRecord``'s is.
+    """
 
     rate_cps: float
     duration_s: float
@@ -172,6 +176,16 @@ class CountSample:
     counts: int
     est_rate_cps: float
     est_sigma_cps: float
+
+    def __init__(self, rate_cps: float, duration_s: float, seed: int, counts: int,
+                 est_rate_cps: float, est_sigma_cps: float) -> None:
+        state = self.__dict__
+        state["rate_cps"] = rate_cps
+        state["duration_s"] = duration_s
+        state["seed"] = seed
+        state["counts"] = counts
+        state["est_rate_cps"] = est_rate_cps
+        state["est_sigma_cps"] = est_sigma_cps
 
 
 def poisson_counts(rate_cps: float, duration_s: float, seed: int) -> CountSample:
@@ -195,14 +209,7 @@ def poisson_counts(rate_cps: float, duration_s: float, seed: int) -> CountSample
             f"mean count {mean!r} (rate_cps {rate_cps!r} times duration_s {duration_s!r}) "
             "exceeds the Poisson sampler's limit"
         ) from None
-    return CountSample(
-        rate_cps=rate,
-        duration_s=duration,
-        seed=int(seed),
-        counts=counts,
-        est_rate_cps=counts / duration,
-        est_sigma_cps=math.sqrt(counts) / duration,
-    )
+    return CountSample(rate, duration, int(seed), counts, counts / duration, math.sqrt(counts) / duration)
 
 
 def duration_for_rate_sigma(rate_cps: float, sigma_cps: float) -> float:

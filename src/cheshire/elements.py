@@ -52,6 +52,8 @@ class Truncation(Enum):
     LINEAR = "linear"
     QUADRATIC = "quadratic"
 
+    __hash__ = object.__hash__  # members are singletons compared by identity, so this agrees with ==
+
 
 def spin_rotation_matrix(alpha_rad: float, truncation: Truncation = Truncation.EXACT) -> np.ndarray:
     """2x2 spin-rotation matrix about z by ``alpha_rad``.

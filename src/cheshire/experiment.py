@@ -129,20 +129,36 @@ class Detector(Enum):
     O_UNSELECTED = "O_unselected"
     H = "H"
 
+    __hash__ = object.__hash__  # members are singletons compared by identity, so this agrees with ==
+
 
 # The detectors in column order; a tuple iterates faster than the Enum class.
 _DETECTORS = tuple(Detector)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class IntensityRecord:
-    """One detector reading for one scenario."""
+    """One detector reading for one scenario.
+
+    A frozen dataclass: fields, ==, hash, repr, ``replace`` and ``FrozenInstanceError``
+    are generated.  Only ``__init__`` is written out, to store the fields straight into
+    ``__dict__`` rather than by one ``object.__setattr__`` call each; :func:`run` builds three.
+    """
 
     scenario: Scenario
     detector: Detector
     intensity_norm: float
     intensity_cps: float
     scale_ref_cps: float
+
+    def __init__(self, scenario: Scenario, detector: Detector, intensity_norm: float,
+                 intensity_cps: float, scale_ref_cps: float) -> None:
+        state = self.__dict__
+        state["scenario"] = scenario
+        state["detector"] = detector
+        state["intensity_norm"] = intensity_norm
+        state["intensity_cps"] = intensity_cps
+        state["scale_ref_cps"] = scale_ref_cps
 
 
 # Amplitudes indexed [path, spin], exact binary fractions, so downstream

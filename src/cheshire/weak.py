@@ -201,24 +201,29 @@ def projective_spin_expectation(path: Path) -> float:
     return float(np.vdot(spin, SIGMA_Z @ spin).real / np.vdot(spin, spin).real)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class WeakValueEstimate:
     """An estimated weak-value magnitude with a propagated 1-sigma uncertainty.
 
     ``value`` is a finite real number and ``uncertainty`` one in [0, inf), both
     stored as given.  Two Python floats, as the estimators pass, meet one test;
-    anything else goes through ``_require_real``, which words any refusal.
+    anything else goes through ``_require_real``, which words any refusal.  Frozen;
+    ``__init__`` is written out as ``IntensityRecord``'s is, and checks before it stores.
     """
 
     value: float
     uncertainty: float
     source: str
 
-    def __post_init__(self) -> None:
-        v, u = self.value, self.uncertainty
-        if not (type(v) is float is type(u) and -_MAX <= v <= _MAX and 0.0 <= u <= _MAX):
-            _require_real("estimate value", v)
-            _require_real("uncertainty", u, "be >= 0")
+    def __init__(self, value: float, uncertainty: float, source: str) -> None:
+        if not (type(value) is float is type(uncertainty)
+                and -_MAX <= value <= _MAX and 0.0 <= uncertainty <= _MAX):
+            _require_real("estimate value", value)
+            _require_real("uncertainty", uncertainty, "be >= 0")
+        state = self.__dict__
+        state["value"] = value
+        state["uncertainty"] = uncertainty
+        state["source"] = source
 
 
 def _estimate(value: float, uncertainty: float, source: str, i_ref_norm: float):

@@ -258,6 +258,38 @@ class TestReadings:
         assert [type(x) for x in floats] == [float] * 3
         assert _bits_or_nan(floats) == _bits_or_nan([x[0] for x in array])
 
+    # Path I's O_selected at five magnet scenarios, as hex floats.  At each of
+    # them ((1 + s^2) + k)/4, the one order, and (1 + (s^2 + k))/4 round to
+    # different bits (by 1, 1, -1, 2 and 32 ulps), so a regrouped sum fails
+    # here even though it stays inside the 2.5 ulp bound below and run and
+    # run_batch, which share the formula, still agree with each other.
+    GOLDEN_O_SELECTED = [
+        (0.3, 0.25, Truncation.EXACT, "0x1.18a5793da77f5p-2"),
+        (1.0, 3.0, Truncation.LINEAR, "0x1.642070db6daabp-2"),
+        (-0.7, 0.5, Truncation.QUADRATIC, "0x1.92e4d5c6adca5p-3"),
+        (3.0, -1.0, Truncation.EXACT, "0x1.43dc4d2c3d438p-4"),
+        (-2.0, 1.5, Truncation.EXACT, "0x1.e0d33fe7a7680p-8"),
+    ]
+
+    @pytest.mark.parametrize("alpha, chi, truncation, expected", GOLDEN_O_SELECTED)
+    def test_path_one_o_selected_has_golden_bits(self, alpha, chi, truncation, expected):
+        template = Scenario(Magnet(Path.I, alpha, truncation), chi)
+        _, c, s = _factor(template.insertion)
+        c, s = float(c), float(s)
+        k = 2.0 * s * math.sin(chi)
+        assert (1.0 + (s * s + k)) * 0.25 != float.fromhex(expected)  # the point tells the orders apart
+        arrays = [np.array([x, x]) for x in (k, c, s)]
+        got = [
+            _o_selected(Path.I, k, c, s),
+            _readings(Path.I, k, c, s)[0],
+            *_o_selected(Path.I, *arrays),
+            *_readings(Path.I, *arrays)[0],
+            run(template)[Detector.O_SELECTED].intensity_norm,
+            *run_batch(template, chi_rad=[chi, chi])[:, 0],
+            *run_batch(template, alpha_rad=[alpha, alpha])[:, 0],
+        ]
+        assert [float(x).hex() for x in got] == [expected] * 11
+
     @settings(max_examples=1000, deadline=None)
     @given(paths, st.floats(-1e300, 1e300), st.floats(-1e150, 1e150), st.floats(-1e150, 1e150))
     @example(Path.I, 680.8160114460806, -130325175.04069515, -18.574054107271657)

@@ -15,15 +15,15 @@ import pytest
 TRACING = FilePath(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 
-def _load_layers() -> dict[str, tuple[str, ...]]:
+def _load_tracing():
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.LAYERS
+    return module
 
 
 LAYER_NAMES = [
-    (layer.split(".")[0], name) for layer, names in _load_layers().items() for name in names
+    (layer.split(".")[0], name) for layer, names in _load_tracing().LAYERS.items() for name in names
 ]
 
 
@@ -36,3 +36,22 @@ def test_traced_name_resolves_on_its_home_module(module, name):
 def test_intensity_record_exists():
     experiment = importlib.import_module("cheshire.experiment")
     assert isinstance(getattr(experiment, "IntensityRecord", None), type)
+
+
+def test_the_tracer_counts_three_records_per_run_and_uninstalls():
+    # the traced benchmark's experiment.records figure is this counter
+    cheshire = importlib.import_module("cheshire")
+    importlib.import_module("cheshire.cli")
+    experiment = importlib.import_module("cheshire.experiment")
+    original = experiment.IntensityRecord.__init__
+    tracer = _load_tracing().Tracer()
+    tracer.install(cheshire)
+    try:
+        before = tracer.records
+        records = experiment.run(experiment.Scenario(None, 0.5))
+        assert tracer.records - before == 3 and len(records) == 3
+        assert tracer.calls["experiment.run"] == 1
+    finally:
+        tracer.uninstall()
+    assert experiment.IntensityRecord.__init__ is original
+    assert not hasattr(experiment.run, "__wrapped__")
