@@ -190,6 +190,10 @@ _ROTATION = {
 }
 
 
+# Path.I read once: each read off the Enum class is an EnumType.__getattr__ call.
+_PATH_I = Path.I
+
+
 def _factor(insertion: Insertion, alpha: np.ndarray | None = None) -> tuple:
     """The insertion as ``(path, c, s)``: it scales ``path``'s spin diagonal by c + i s sigma_z.
 
@@ -198,7 +202,7 @@ def _factor(insertion: Insertion, alpha: np.ndarray | None = None) -> tuple:
     of that grid.  No insertion is the identity, (path I, 1, 0).
     """
     if insertion is None:
-        return Path.I, 1.0, 0.0
+        return _PATH_I, 1.0, 0.0
     if isinstance(insertion, Absorber):
         return insertion.path, math.sqrt(insertion.transmissivity), 0.0
     c, s = _ROTATION[insertion.truncation]((insertion.alpha_rad if alpha is None else alpha) / 2.0)
@@ -207,7 +211,7 @@ def _factor(insertion: Insertion, alpha: np.ndarray | None = None) -> tuple:
 
 def _o_selected(path: Path, k, c, s):
     """The first reading of :func:`_readings`, O_selected, alone."""
-    return ((1.0 + s * s) + k) * 0.25 if path is Path.I else c * c * 0.25
+    return ((1.0 + s * s) + k) * 0.25 if path is _PATH_I else c * c * 0.25
 
 
 def _readings(path: Path, k, c, s) -> tuple:
@@ -221,7 +225,7 @@ def _readings(path: Path, k, c, s) -> tuple:
     """
     r = 1.0 + (c * c + s * s)
     selected, plus, minus = _o_selected(path, k, c, s), (r + k) * 0.25, (r - k) * 0.25
-    return (selected, plus, minus) if path is Path.I else (selected, minus, plus)
+    return (selected, plus, minus) if path is _PATH_I else (selected, minus, plus)
 
 
 def run_batch(template: Scenario, *, chi_rad=None, alpha_rad=None) -> np.ndarray:

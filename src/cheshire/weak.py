@@ -38,7 +38,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .experiment import _POSTSELECTED, _PREPARED
+from .experiment import _PATH_I, _POSTSELECTED, _PREPARED
 from .qcore import (
     _MAX,
     ID2,
@@ -61,6 +61,7 @@ __all__ = [
     "weak_value",
     "exact_weak_values",
     "weakvalue_intensity",
+    "modular_value",
     "projective_spin_expectation",
     "estimate_sigma_pi",
     "estimate_pi_from_absorber",
@@ -72,6 +73,9 @@ DEGENERATE_OVERLAP = 1e-12
 
 # Squared-magnitude estimates below minus this are inconsistent input, not rounding.
 _NEGATIVE_TOLERANCE = 1e-9
+
+# What iterating a TruncationReport's readings yields; the estimators take it as its Python float.
+_FLOAT64 = np.float64
 
 
 class DegeneratePostselectionError(ValueError):
@@ -166,12 +170,18 @@ def weakvalue_intensity(
     The module docstring's expansion of I_ref |1 + (c - 1)<Pi_j>_w + i s <sigma_z Pi_j>_w|^2,
     with an error of third order in alpha; a real <sigma_z Pi_j>_w adds 0 at first order.
     A prediction that is not finite raises ValueError naming the weak value if |w|^2
-    overflows, else the angle.
+    overflows, else the angle.  Python float arguments in their rules, a Path and a
+    WeakValueSet meet one test, as the estimators' do; anything else goes through
+    ``_require_real``/``_require_member``, which convert it or word its refusal.
     """
-    alpha = _require_real("alpha_rad", alpha_rad)
-    i_ref_norm = _require_real("i_ref_norm", i_ref_norm, "be positive")
-    _require_member("weak_values", weak_values, WeakValueSet)
-    if _require_member("path", path, Path) is Path.I:
+    alpha = alpha_rad
+    if not (type(alpha_rad) is float is type(i_ref_norm) and type(path) is Path
+            and type(weak_values) is WeakValueSet and -_MAX <= alpha_rad <= _MAX and 0.0 < i_ref_norm <= _MAX):
+        alpha = _require_real("alpha_rad", alpha_rad)
+        i_ref_norm = _require_real("i_ref_norm", i_ref_norm, "be positive")
+        _require_member("weak_values", weak_values, WeakValueSet)
+        _require_member("path", path, Path)
+    if path is _PATH_I:
         pi_w, sigma_pi_w = weak_values.pi_i, weak_values.sigma_pi_i
     else:
         pi_w, sigma_pi_w = weak_values.pi_ii, weak_values.sigma_pi_ii
@@ -189,6 +199,22 @@ def weakvalue_intensity(
             f"at i_ref_norm {i_ref_norm!r}"
         )
     return value
+
+
+def modular_value(path: Path, c: float, s: float, weak_values: WeakValueSet) -> complex:
+    """Kedem and Vaidman's modular value of the insertion c + i s sigma_z on ``path``.
+
+    U = 1 + (c - 1) Pi_j + i s sigma_z Pi_j, so <psi_f|U|psi_i> / <psi_f|psi_i> is m_j =
+    1 + (c - 1)<Pi_j>_w + i s <sigma_z Pi_j>_w, in Python complex arithmetic.  A magnet is
+    (cos(alpha/2), sin(alpha/2)) or its truncation's row, an absorber (sqrt(T), 0); for the standard
+    pair I_ref |m_j|^2 is O_SELECTED at chi = 0 and ``weakvalue_intensity`` its second order in alpha.
+    """
+    c = _require_real("c", c)
+    s = _require_real("s", s)
+    _require_member("weak_values", weak_values, WeakValueSet)
+    if _require_member("path", path, Path) is _PATH_I:
+        return 1.0 + (c - 1.0) * weak_values.pi_i + 1j * s * weak_values.sigma_pi_i
+    return 1.0 + (c - 1.0) * weak_values.pi_ii + 1j * s * weak_values.sigma_pi_ii
 
 
 def projective_spin_expectation(path: Path) -> float:
@@ -264,12 +290,19 @@ def estimate_sigma_pi(
     at zero (where the first-order map is singular) the square root of the
     squared-magnitude sigma is reported instead.
     """
-    alpha = _require_real("alpha_rad", alpha_rad)
-    i_ref_norm = _require_real("i_ref_norm", i_ref_norm, "be positive")
-    i_mag_norm = _require_real("i_mag_norm", i_mag_norm)
-    pi_w = _require_real("pi_w", pi_w)
-    sigma_i_mag = _require_real("sigma_i_mag", sigma_i_mag, "be >= 0")
-    sigma_i_ref = _require_real("sigma_i_ref", sigma_i_ref, "be >= 0")
+    if type(i_mag_norm) is _FLOAT64:
+        i_mag_norm = float(i_mag_norm)
+    alpha = alpha_rad
+    if not (type(alpha_rad) is float is type(i_ref_norm) is type(i_mag_norm) is type(pi_w)
+            is type(sigma_i_mag) is type(sigma_i_ref) and -_MAX <= alpha_rad <= _MAX
+            and 0.0 < i_ref_norm <= _MAX and -_MAX <= i_mag_norm <= _MAX and -_MAX <= pi_w <= _MAX
+            and 0.0 <= sigma_i_mag <= _MAX and 0.0 <= sigma_i_ref <= _MAX):
+        alpha = _require_real("alpha_rad", alpha_rad)
+        i_ref_norm = _require_real("i_ref_norm", i_ref_norm, "be positive")
+        i_mag_norm = _require_real("i_mag_norm", i_mag_norm)
+        pi_w = _require_real("pi_w", pi_w)
+        sigma_i_mag = _require_real("sigma_i_mag", sigma_i_mag, "be >= 0")
+        sigma_i_ref = _require_real("sigma_i_ref", sigma_i_ref, "be >= 0")
 
     square = alpha * alpha
     inv = 4.0 / square if square > 0.0 else math.inf
@@ -307,11 +340,17 @@ def estimate_pi_from_absorber(
     Valid for 0 <= T < 1; at T = 1 the absorber leaves no signal to invert
     and the call is rejected.
     """
-    t = _require_real("transmissivity", transmissivity, "lie in [0, 1)")
-    i_ref_norm = _require_real("i_ref_norm", i_ref_norm, "be positive")
-    i_abs_norm = _require_real("i_abs_norm", i_abs_norm)
-    sigma_i_abs = _require_real("sigma_i_abs", sigma_i_abs, "be >= 0")
-    sigma_i_ref = _require_real("sigma_i_ref", sigma_i_ref, "be >= 0")
+    if type(i_abs_norm) is _FLOAT64:
+        i_abs_norm = float(i_abs_norm)
+    t = transmissivity
+    if not (type(transmissivity) is float is type(i_ref_norm) is type(i_abs_norm) is type(sigma_i_abs)
+            is type(sigma_i_ref) and 0.0 <= transmissivity < 1.0 and 0.0 < i_ref_norm <= _MAX
+            and -_MAX <= i_abs_norm <= _MAX and 0.0 <= sigma_i_abs <= _MAX and 0.0 <= sigma_i_ref <= _MAX):
+        t = _require_real("transmissivity", transmissivity, "lie in [0, 1)")
+        i_ref_norm = _require_real("i_ref_norm", i_ref_norm, "be positive")
+        i_abs_norm = _require_real("i_abs_norm", i_abs_norm)
+        sigma_i_abs = _require_real("sigma_i_abs", sigma_i_abs, "be >= 0")
+        sigma_i_ref = _require_real("sigma_i_ref", sigma_i_ref, "be >= 0")
 
     gain = 1.0 / (2.0 * (1.0 - math.sqrt(t)))
     ratio = i_abs_norm / i_ref_norm

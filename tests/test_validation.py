@@ -72,6 +72,7 @@ from cheshire.weak import (
     estimate_pi_from_absorber,
     estimate_sigma_pi,
     exact_weak_values,
+    modular_value,
     path_projector_operator,
     projective_spin_expectation,
     spin_z_path_operator,
@@ -113,6 +114,8 @@ SCALARS = [
      lambda v: weakvalue_intensity(v, Path.I, WEAK_VALUES, 0.25)),
     ("weakvalue_intensity", "i_ref_norm",
      lambda v: weakvalue_intensity(0.1, Path.I, WEAK_VALUES, v)),
+    ("modular_value", "c", lambda v: modular_value(Path.I, v, 0.0, WEAK_VALUES)),
+    ("modular_value", "s", lambda v: modular_value(Path.I, 1.0, v, WEAK_VALUES)),
     ("cheshire_witness", "alpha_rad", cheshire_witness),
     ("poisson_counts", "rate_cps", lambda v: poisson_counts(v, 1.0, 0)),
     ("poisson_counts", "duration_s", lambda v: poisson_counts(1.0, v, 0)),
@@ -140,6 +143,10 @@ PAST_THE_DOMAIN = {
     ("Magnet", "alpha_rad"): ANGLES_PAST,
     ("cheshire_witness", "alpha_rad"): ANGLES_PAST,
     **{(f, p): SCALES_PAST for f, p, _ in SCALARS if p == "scale_ref_cps"},
+    # the weak layer's bounds, which its one-test guards state again
+    **{(f, p): [0.0, -0.0, -5e-324] for f, p, _ in SCALARS if p == "i_ref_norm"},
+    **{(f, p): [-5e-324, -1.0] for f, p, _ in SCALARS if p.startswith("sigma_i_")},
+    ("estimate_pi_from_absorber", "transmissivity"): [1.0, -5e-324, 1.5],
 }
 
 # (id, parameter, call, a value it rejects) for every scalar row
@@ -147,6 +154,16 @@ SCALAR_CASES = [
     (f"{f}.{p}-{bad!r}", p, call, bad)
     for f, p, call in SCALARS
     for bad in NOT_FINITE_NUMBERS + PAST_THE_DOMAIN.get((f, p), [])
+]
+
+# The weak layer's rows again, each rejected float passed as a numpy float64, as
+# iterating a TruncationReport's readings yields it
+WEAK_LAYER = ("weakvalue_intensity", "estimate_sigma_pi", "estimate_pi_from_absorber")
+FLOAT64_CASES = [
+    (f"{f}.{p}-float64({bad!r})", call, bad)
+    for f, p, call in SCALARS
+    if f in WEAK_LAYER
+    for bad in [math.nan, math.inf, -math.inf] + PAST_THE_DOMAIN.get((f, p), [])
 ]
 
 PATHS = [
@@ -157,6 +174,7 @@ PATHS = [
     ("path_projector_operator", path_projector_operator),
     ("spin_z_path_operator", spin_z_path_operator),
     ("weakvalue_intensity", lambda p: weakvalue_intensity(0.1, p, WEAK_VALUES, 0.25)),
+    ("modular_value", lambda p: modular_value(p, 1.0, 0.0, WEAK_VALUES)),
     ("projective_spin_expectation", projective_spin_expectation),
     ("truncation_scan", lambda p: truncation_scan(p, np.geomspace(0.01, 0.3, 10))),
     ("path_projector", path_projector),
@@ -173,6 +191,7 @@ OBJECTS = [
      lambda v: weak_value(path_projector_operator(Path.I), initial_state(), v)),
     ("weakvalue_intensity", "weak_values", WeakValueSet,
      lambda v: weakvalue_intensity(0.1, Path.I, v, 0.25)),
+    ("modular_value", "weak_values", WeakValueSet, lambda v: modular_value(Path.I, 1.0, 0.0, v)),
     ("apply", "op", JointOperator, lambda v: apply(v, initial_state())),
     ("apply", "state", JointState, lambda v: apply(identity(), v)),
     ("inner", "bra", JointState, lambda v: inner(v, initial_state())),
@@ -199,6 +218,66 @@ def test_scalar_parameter_rejects_what_is_not_a_finite_number(parameter, call, b
         call(bad)
     assert str(info.value).startswith(f"{parameter} must "), str(info.value)
     assert str(info.value).endswith(f", got {bad!r}")
+
+
+@pytest.mark.parametrize("call, bad", [c[1:] for c in FLOAT64_CASES], ids=[c[0] for c in FLOAT64_CASES])
+def test_weak_layer_refuses_a_float64_in_the_words_of_its_python_float(call, bad):
+    with pytest.raises(ValueError) as expected:
+        call(bad)
+    with pytest.raises(ValueError) as info:
+        call(np.float64(bad))
+    assert str(info.value) == str(expected.value)
+
+
+# Each weak-layer function's parameters in the order they are checked, each
+# with (a valid value, a value it refuses); numpy float64s among the refused
+BAD_WEAK_VALUES = (0j, 1 + 0j, 1 + 0j, 0j)
+CHECK_ORDER = {
+    weakvalue_intensity: {
+        "alpha_rad": (0.1, math.nan),
+        "i_ref_norm": (0.25, 0.0),
+        "weak_values": (WEAK_VALUES, BAD_WEAK_VALUES),
+        "path": (Path.I, "I"),
+    },
+    estimate_sigma_pi: {
+        "alpha_rad": (0.2, np.float64(math.inf)),
+        "i_ref_norm": (0.25, -1.0),
+        "i_mag_norm": (0.25, np.float64(math.nan)),
+        "pi_w": (0.0, None),
+        "sigma_i_mag": (0.0, np.float64(-1.0)),
+        "sigma_i_ref": (0.0, math.nan),
+    },
+    estimate_pi_from_absorber: {
+        "transmissivity": (0.5, 1.0),
+        "i_ref_norm": (0.25, np.float64(0.0)),
+        "i_abs_norm": (0.2, np.float64(math.inf)),
+        "sigma_i_abs": (0.0, -1.0),
+        "sigma_i_ref": (0.0, "x"),
+    },
+    modular_value: {
+        "c": (1.0, math.inf),
+        "s": (0.0, np.float64(math.nan)),
+        "weak_values": (WEAK_VALUES, BAD_WEAK_VALUES),
+        "path": (Path.I, "I"),
+    },
+}
+FIRST_OF_TWO = [
+    (function, first, second)
+    for function, params in CHECK_ORDER.items()
+    for i, first in enumerate(params)
+    for second in list(params)[i + 1:]
+]
+
+
+@pytest.mark.parametrize(
+    "function, first, second", FIRST_OF_TWO, ids=[f"{f.__name__}-{a}-{b}" for f, a, b in FIRST_OF_TWO]
+)
+def test_weak_layer_names_the_first_of_two_bad_arguments(function, first, second):
+    params = CHECK_ORDER[function]
+    arguments = {name: good for name, (good, _) in params.items()}
+    arguments[first], arguments[second] = params[first][1], params[second][1]
+    with pytest.raises((ValueError, TypeError), match=f"^{first} must "):
+        function(**arguments)
 
 
 @pytest.mark.parametrize("call", [c for _, c in PATHS], ids=[n for n, _ in PATHS])

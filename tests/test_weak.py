@@ -7,10 +7,15 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from cheshire.analysis import fit_loglog_slope
+from cheshire import weak
+from cheshire.analysis import fit_loglog_slope, truncation_scan
+from cheshire.elements import Truncation
 from cheshire.experiment import (
     _POSTSELECTED,
     _PREPARED,
+    _ROTATION,
+    I_REF_NORM,
+    Absorber,
     Detector,
     Magnet,
     Scenario,
@@ -27,6 +32,7 @@ from cheshire.weak import (
     estimate_pi_from_absorber,
     estimate_sigma_pi,
     exact_weak_values,
+    modular_value,
     path_projector_operator,
     projective_spin_expectation,
     spin_z_path_operator,
@@ -412,6 +418,148 @@ def test_estimator_inverts_forward_model(alpha):
     forward = weakvalue_intensity(alpha, Path.I, values, 0.25)
     est = estimate_sigma_pi(forward, 0.25, alpha, pi_w=values.pi_i.real)
     assert est.value == pytest.approx(abs(values.sigma_pi_i), abs=1e-9)
+
+
+class _Float(float):
+    """A float subclass, which no one-test guard admits: it takes the checks' route."""
+
+
+def _estimate_bits(estimate: WeakValueEstimate) -> tuple:
+    return type(estimate.value), estimate.value.hex(), type(estimate.uncertainty), estimate.uncertainty.hex()
+
+
+class TestOneTestGuard:
+    """Python floats in their rules, a Path and a WeakValueSet meet one test in the
+    weak layer; a numpy float64 or a float subclass goes through ``_require_real``,
+    and either way the result is a Python float with the same bits."""
+
+    @given(st.floats(-1e6, 1e6), st.floats(1e-12, 1e12), st.sampled_from(list(Path)))
+    def test_weakvalue_intensity_of_any_float_kind_has_the_same_bits(self, alpha, i_ref, path):
+        expected = weakvalue_intensity(alpha, path, exact_weak_values(), i_ref)
+        for kind in (np.float64, _Float):
+            value = weakvalue_intensity(kind(alpha), path, exact_weak_values(), kind(i_ref))
+            assert type(value) is float and value.hex() == expected.hex()
+
+    @given(
+        st.floats(1e-2, 3.0) | st.floats(-3.0, -1e-2),
+        st.floats(1e-3, 1e3),
+        st.floats(-2.0, 2.0),
+        st.floats(0.0, 3.0),
+        st.floats(0.0, 1.0),
+        st.floats(0.0, 1.0),
+    )
+    def test_estimate_sigma_pi_of_any_float_kind_has_the_same_bits(
+        self, alpha, i_ref, pi_w, magnitude, sigma_i_mag, sigma_i_ref
+    ):
+        i_mag = i_ref * (1.0 + alpha * alpha / 4.0 * (magnitude * magnitude - pi_w))
+        expected = _estimate_bits(
+            estimate_sigma_pi(i_mag, i_ref, alpha, pi_w, sigma_i_mag=sigma_i_mag, sigma_i_ref=sigma_i_ref)
+        )
+        assert expected[0] is float is expected[2]
+        for kind in (np.float64, _Float):
+            estimate = estimate_sigma_pi(
+                kind(i_mag), kind(i_ref), kind(alpha), kind(pi_w),
+                sigma_i_mag=kind(sigma_i_mag), sigma_i_ref=kind(sigma_i_ref),
+            )
+            assert _estimate_bits(estimate) == expected
+        # order-scan's traffic: the reading alone a float64
+        estimate = estimate_sigma_pi(
+            np.float64(i_mag), i_ref, alpha, pi_w, sigma_i_mag=sigma_i_mag, sigma_i_ref=sigma_i_ref
+        )
+        assert _estimate_bits(estimate) == expected
+
+    @given(
+        st.floats(0.0, 1.0, exclude_max=True),
+        st.floats(1e-3, 1e3),
+        st.floats(-10.0, 10.0),
+        st.floats(0.0, 1.0),
+        st.floats(0.0, 1.0),
+    )
+    def test_estimate_pi_from_absorber_of_any_float_kind_has_the_same_bits(
+        self, t, i_ref, i_abs, sigma_i_abs, sigma_i_ref
+    ):
+        expected = _estimate_bits(
+            estimate_pi_from_absorber(i_abs, i_ref, t, sigma_i_abs=sigma_i_abs, sigma_i_ref=sigma_i_ref)
+        )
+        assert expected[0] is float is expected[2]
+        for kind in (np.float64, _Float):
+            estimate = estimate_pi_from_absorber(
+                kind(i_abs), kind(i_ref), kind(t), sigma_i_abs=kind(sigma_i_abs), sigma_i_ref=kind(sigma_i_ref)
+            )
+            assert _estimate_bits(estimate) == expected
+
+    def test_the_benchmark_traffic_meets_the_one_test(self, monkeypatch):
+        # what order-scan and scenario-mix pass: Python floats, a scan's float64 reading,
+        # the zero sigmas by default, a Path and the canonical set; none of it reaches a check
+        def refuse(name, *args):
+            raise AssertionError(f"{name} took the checks' route")
+
+        monkeypatch.setattr(weak, "_require_real", refuse)
+        monkeypatch.setattr(weak, "_require_member", refuse)
+        reading = truncation_scan(Path.II, np.geomspace(0.01, 0.3, 10)).i_exact[0]
+        for path in Path:
+            weakvalue_intensity(0.01, path, exact_weak_values(), I_REF_NORM)
+        estimate_sigma_pi(reading, I_REF_NORM, 0.01, 1.0)
+        estimate_sigma_pi(float(reading), I_REF_NORM, 0.01, 1.0)
+        estimate_pi_from_absorber(np.float64(0.2), I_REF_NORM, 0.5)
+        estimate_pi_from_absorber(0.2, I_REF_NORM, 0.0)
+
+    def test_a_weak_value_set_subclass_is_still_accepted(self):
+        class Subset(WeakValueSet):
+            pass
+
+        values = exact_weak_values()
+        subset = Subset(values.pi_i, values.pi_ii, values.sigma_pi_i, values.sigma_pi_ii)
+        for path in Path:
+            for alpha in (0.0, 0.1, -2.5):
+                value = weakvalue_intensity(alpha, path, subset, 0.25)
+                assert value.hex() == weakvalue_intensity(alpha, path, values, 0.25).hex()
+
+    def test_a_scan_reading_is_a_float64_and_estimates_as_its_python_float(self):
+        # iterating a TruncationReport's readings, as order-scan does, yields np.float64
+        grid = np.geomspace(0.01, 0.3, 12)
+        readings = list(truncation_scan(Path.II, grid).i_exact)
+        assert {type(reading) for reading in readings} == {np.float64}
+        for alpha, reading in zip(grid.tolist(), readings):
+            estimate = estimate_sigma_pi(reading, I_REF_NORM, alpha, 1.0)
+            expected = estimate_sigma_pi(float(reading), I_REF_NORM, alpha, 1.0)
+            assert type(estimate.value) is float and _estimate_bits(estimate) == _estimate_bits(expected)
+
+
+class TestModularValue:
+    """m_j = 1 + (c - 1)<Pi_j>_w + i s <sigma_z Pi_j>_w: I_ref |m_j|^2 is O_SELECTED at chi = 0."""
+
+    @pytest.mark.parametrize("path, sign", [(Path.I, -1.0), (Path.II, 1.0)])
+    def test_weakvalue_intensity_is_its_expansion_to_an_alpha4_over_48_remainder(self, path, sign):
+        # I_ref |m_j|^2 - weakvalue_intensity = sign I_ref (alpha^4/48) (1 - alpha^2/30 + ...):
+        # sin^2(alpha/2) - alpha^2/4 on path I, cos^2(alpha/2) - (1 - alpha^2/4) on path II
+        values, gaps = exact_weak_values(), []
+        for alpha in (0.2, 0.1, 0.05, 0.02):
+            exact = I_REF_NORM * abs(modular_value(path, math.cos(alpha / 2), math.sin(alpha / 2), values)) ** 2
+            ratio = (exact - weakvalue_intensity(alpha, path, values, I_REF_NORM)) / (I_REF_NORM * alpha**4 / 48)
+            gaps.append(abs(ratio - sign))
+            assert gaps[-1] <= alpha**2 / 20, (alpha, ratio)
+        assert gaps == sorted(gaps, reverse=True)
+
+    @given(st.floats(0.0, 1.0), st.sampled_from(list(Path)))
+    def test_an_absorber_reads_as_run_within_one_ulp_of_the_reference(self, t, path):
+        # s = 0 and c = sqrt(T): only c - 1 rounds, and only for c < 1/2, by at most
+        # ulp(1)/4, so I_ref |m_j|^2 is off run's c^2/4 by about half an ulp of I_ref
+        m = modular_value(path, math.sqrt(t), 0.0, exact_weak_values())
+        reading = run(Scenario(insertion=Absorber(path, t)))[Detector.O_SELECTED].intensity_norm
+        assert abs(I_REF_NORM * abs(m) ** 2 - reading) <= math.ulp(I_REF_NORM)
+
+    @given(st.floats(-1e6, 1e6))
+    def test_the_linear_truncation_leaves_path_two_at_the_reference_exactly(self, alpha):
+        c, s = _ROTATION[Truncation.LINEAR](alpha / 2.0)
+        m = modular_value(Path.II, c, s, exact_weak_values())
+        assert m == 1 and I_REF_NORM * abs(m) ** 2 == 0.25
+        scenario = Scenario(insertion=Magnet(Path.II, alpha, Truncation.LINEAR))
+        assert run(scenario)[Detector.O_SELECTED].intensity_norm == 0.25
+
+    def test_returns_a_python_complex(self):
+        m = modular_value(Path.I, np.float64(0.5), np.float32(0.25), exact_weak_values())
+        assert type(m) is complex and m == 1 + 0.25j * exact_weak_values().sigma_pi_i
 
 
 # The four canonical weak values, each with the 4x4 operator that is its
