@@ -32,9 +32,10 @@ k = 2 s sin(chi): O_SELECTED is c^2/4 behind a path II insertion and
 values, (0, ±1) on path I and (1, 0) on path II: the linear term s leaves
 path II's post-selected intensity at the empty-beamline 1/4, the quadratic
 term in c does not, and path I sees only s.  The same code takes Python
-floats and numpy arrays: :func:`run_batch` reads a whole grid (each sweep is
-one call), :func:`run` one point with the same bits as its row, both with
-sin(chi) from :mod:`math`; the scan and the witness of
+floats and numpy arrays: :func:`run_batch` reads a whole grid (the CLI's
+sweep), :func:`run` one point with the same bits as its row, both with
+sin(chi) from :mod:`math`; :func:`sweep_chi` and :func:`sweep_alpha` are
+loops over :func:`run`, one call per grid point; the scan and the witness of
 :mod:`cheshire.analysis` read only O_SELECTED, :func:`_o_selected`, the
 first reading, for the rows of ``_ROTATION`` at k = 0.  The 4x4
 joint algebra of :mod:`cheshire.qcore` and :mod:`cheshire.elements` is on
@@ -287,15 +288,6 @@ def count_rate(intensity_norm, scale_ref_cps: float):
     return intensity_norm / I_REF_NORM * scale
 
 
-def _records(scenarios: list[Scenario], readings: np.ndarray, scale: float) -> list[IntensityRecord]:
-    cps = (readings / I_REF_NORM * scale).tolist()
-    return [
-        IntensityRecord(scenario, det, norm, rate, scale)
-        for scenario, norms, rates in zip(scenarios, readings.tolist(), cps)
-        for det, norm, rate in zip(_DETECTORS, norms, rates)
-    ]
-
-
 def run(
     scenario: Scenario, scale_ref_cps: float = DEFAULT_SCALE_REF_CPS
 ) -> dict[Detector, IntensityRecord]:
@@ -340,12 +332,11 @@ def sweep_chi(
     chi_values: Iterable[float],
     scale_ref_cps: float = DEFAULT_SCALE_REF_CPS,
 ) -> list[IntensityRecord]:
-    """Run the template at each phase value; three records per grid point."""
+    """Run the template at each phase value, one :func:`run` per grid point, in grid order."""
     scale = _require_real("scale_ref_cps", scale_ref_cps, "lie in [1e-12, 1e12]")
     chi = _require_grid("chi_values", list(chi_values))
-    readings = run_batch(template, chi_rad=chi)
-    scenarios = [dataclasses.replace(template, chi_rad=value) for value in chi.tolist()]
-    return _records(scenarios, readings, scale)
+    points = (dataclasses.replace(template, chi_rad=value) for value in chi.tolist())
+    return [record for point in points for record in run(point, scale).values()]
 
 
 def sweep_alpha(
@@ -353,12 +344,11 @@ def sweep_alpha(
     alpha_values: Iterable[float],
     scale_ref_cps: float = DEFAULT_SCALE_REF_CPS,
 ) -> list[IntensityRecord]:
-    """Run the template at each rotation angle; requires a magnet insertion."""
+    """Run the template at each rotation angle, as :func:`sweep_chi` does; requires a magnet insertion."""
     scale = _require_real("scale_ref_cps", scale_ref_cps, "lie in [1e-12, 1e12]")
     alpha = _require_grid("alpha_values", list(alpha_values), "lie in [-1e6, 1e6]")
-    readings = run_batch(template, alpha_rad=alpha)
-    scenarios = [
-        dataclasses.replace(template, insertion=dataclasses.replace(template.insertion, alpha_rad=value))
-        for value in alpha.tolist()
-    ]
-    return _records(scenarios, readings, scale)
+    if not isinstance(template.insertion, Magnet):
+        raise ValueError("an alpha grid requires a scenario with a magnet insertion")
+    magnets = (dataclasses.replace(template.insertion, alpha_rad=value) for value in alpha.tolist())
+    points = (dataclasses.replace(template, insertion=magnet) for magnet in magnets)
+    return [record for point in points for record in run(point, scale).values()]

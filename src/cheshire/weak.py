@@ -74,7 +74,7 @@ DEGENERATE_OVERLAP = 1e-12
 # Squared-magnitude estimates below minus this are inconsistent input, not rounding.
 _NEGATIVE_TOLERANCE = 1e-9
 
-# What iterating a TruncationReport's readings yields; the estimators take it as its Python float.
+# What iterating a TruncationReport's readings yields; estimate_sigma_pi takes it as its Python float.
 _FLOAT64 = np.float64
 
 
@@ -208,13 +208,20 @@ def modular_value(path: Path, c: float, s: float, weak_values: WeakValueSet) -> 
     1 + (c - 1)<Pi_j>_w + i s <sigma_z Pi_j>_w, in Python complex arithmetic.  A magnet is
     (cos(alpha/2), sin(alpha/2)) or its truncation's row, an absorber (sqrt(T), 0); for the standard
     pair I_ref |m_j|^2 is O_SELECTED at chi = 0 and ``weakvalue_intensity`` its second order in alpha.
+    A modular value that overflows raises ValueError naming the arguments.
     """
     c = _require_real("c", c)
     s = _require_real("s", s)
     _require_member("weak_values", weak_values, WeakValueSet)
     if _require_member("path", path, Path) is _PATH_I:
-        return 1.0 + (c - 1.0) * weak_values.pi_i + 1j * s * weak_values.sigma_pi_i
-    return 1.0 + (c - 1.0) * weak_values.pi_ii + 1j * s * weak_values.sigma_pi_ii
+        pi_w, sigma_pi_w = weak_values.pi_i, weak_values.sigma_pi_i
+    else:
+        pi_w, sigma_pi_w = weak_values.pi_ii, weak_values.sigma_pi_ii
+    m = 1.0 + (c - 1.0) * pi_w + 1j * s * sigma_pi_w
+    if not cmath.isfinite(m):
+        raise ValueError(f"c {c!r} and s {s!r} give a modular value that is not finite ({m!r}) "
+                         f"on path {path.name} with {weak_values!r}")
+    return m
 
 
 def projective_spin_expectation(path: Path) -> float:
@@ -340,8 +347,6 @@ def estimate_pi_from_absorber(
     Valid for 0 <= T < 1; at T = 1 the absorber leaves no signal to invert
     and the call is rejected.
     """
-    if type(i_abs_norm) is _FLOAT64:
-        i_abs_norm = float(i_abs_norm)
     t = transmissivity
     if not (type(transmissivity) is float is type(i_ref_norm) is type(i_abs_norm) is type(sigma_i_abs)
             is type(sigma_i_ref) and 0.0 <= transmissivity < 1.0 and 0.0 < i_ref_norm <= _MAX

@@ -37,7 +37,7 @@ from cheshire.experiment import (
     Scenario,
     closed_form_o,
     run,
-    sweep_chi,
+    run_batch,
 )
 from cheshire.qcore import Path
 from cheshire.weak import (
@@ -155,20 +155,8 @@ class TestAcceptance:
         assert ok, (max_dev, ratio)
 
     def test_criterion_05_phase_response_localizes_the_spin(self, capsys):
-        sel_ii = np.array(
-            [
-                r.intensity_norm
-                for r in sweep_chi(Scenario(insertion=Magnet(Path.II, ALPHA_20)), CHI_GRID_361)
-                if r.detector is Detector.O_SELECTED
-            ]
-        )
-        sel_i = np.array(
-            [
-                r.intensity_norm
-                for r in sweep_chi(Scenario(insertion=Magnet(Path.I, ALPHA_20)), CHI_GRID_361)
-                if r.detector is Detector.O_SELECTED
-            ]
-        )
+        sel_ii = run_batch(Scenario(insertion=Magnet(Path.II, ALPHA_20)), chi_rad=CHI_GRID_361)[:, 0]
+        sel_i = run_batch(Scenario(insertion=Magnet(Path.I, ALPHA_20)), chi_rad=CHI_GRID_361)[:, 0]
         spread_ii = float(np.max(sel_ii) - np.min(sel_ii))
         spread_i = float(np.max(sel_i) - np.min(sel_i))
         periodic = abs(sel_i[0] - sel_i[-1]) <= 1e-12

@@ -349,8 +349,8 @@ class TestReadings:
         run(template)
         run_batch(template, chi_rad=[chi, 1.0, -2.0])
         run_batch(template, alpha_rad=[0.1, 0.3, 2.0])
-        sweep_chi(template, [chi, 1.0])
-        assert real_readout == [{np.dtype(float)}] * 4
+        sweep_chi(template, [chi, 1.0])  # one run, so one readout, per point
+        assert real_readout == [{np.dtype(float)}] * 5
 
     @pytest.mark.parametrize("path", list(Path))
     def test_scan_and_witness_make_no_numpy_multiply_or_exp(self, real_readout, path):

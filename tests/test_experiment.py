@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from cheshire.analysis import fit_loglog_slope
+from cheshire.analysis import cheshire_witness, fit_loglog_slope
 from cheshire.elements import Truncation
 from cheshire.experiment import (
     DEFAULT_SCALE_REF_CPS,
@@ -255,8 +255,14 @@ class TestSweeps:
         assert_allclose(values, DEFAULT_SCALE_REF_CPS, atol=1e-10)
 
     def test_sweep_alpha_requires_magnet(self):
-        with pytest.raises(ValueError):
-            sweep_alpha(Scenario(), [0.1, 0.2])
+        # checked after the scale and the grid, and for an empty grid too
+        for grid in ([0.1, 0.2], []):
+            with pytest.raises(ValueError, match="^an alpha grid requires a scenario with a magnet insertion$"):
+                sweep_alpha(Scenario(), grid)
+        with pytest.raises(ValueError, match=r"^alpha_values entries must lie in \[-1e6, 1e6\], got nan at index 0$"):
+            sweep_alpha(Scenario(), [math.nan])
+        with pytest.raises(ValueError, match=r"^scale_ref_cps must lie in \[1e-12, 1e12\], got -1.0$"):
+            sweep_alpha(Scenario(), [math.nan], -1.0)
 
     def test_sweep_records_keep_grid_order(self):
         records = sweep_chi(Scenario(), [0.0, 1.0, 2.0])
@@ -289,6 +295,41 @@ class TestPaperClaims:
     def test_path_I_cannot_tell_linear_from_quadratic(self):
         linear, quadratic = (self.o_selected(Path.I, t) for t in (Truncation.LINEAR, Truncation.QUADRATIC))
         assert [x.hex() for x in linear] == [x.hex() for x in quadratic]
+
+
+class TestBothTermsContributeEqually:
+    """The abstract's "both linear and quadratic B_z interactions contribute equally
+    to the neutron intensity", at chi = 0 for alpha from 0.3 down to 1e-3: the rise
+    of path I's post-selected intensity above I_ref is s^2/4, the linear term's, and
+    the deficit of path II's below it is (1 - c^2)/4, the quadratic term's.  The
+    readings come through ``run``; ``cheshire_witness`` is path II's second route."""
+
+    ALPHAS = np.geomspace(0.3, 1e-3, 200).tolist()
+
+    def rise_and_deficit(self, truncation):
+        ref = o_selected(Scenario())
+        for alpha in self.ALPHAS:
+            rise = o_selected(Scenario(Magnet(Path.I, alpha, truncation))) - ref
+            deficit = ref - o_selected(Scenario(Magnet(Path.II, alpha, truncation)))
+            assert getattr(cheshire_witness(alpha), f"deficit_{truncation.value}") == deficit
+            yield alpha, ref, rise, deficit
+
+    def test_the_exact_rotation_moves_both_paths_by_the_same_amount(self):
+        # both are I_ref sin^2(alpha/2); measured at most 1 ulp of I_ref apart
+        for alpha, ref, rise, deficit in self.rise_and_deficit(Truncation.EXACT):
+            assert abs(deficit - rise) <= math.ulp(ref), alpha
+
+    def test_the_quadratic_truncation_gives_the_ratio_one_minus_alpha2_over_16(self):
+        # deficit/rise = (h^2 - h^4/4)/h^2 with h = alpha/2; each reading rounds on the
+        # scale of I_ref, so the ratio's error scales with ulp(I_ref)/rise (measured 0.25 of it)
+        for alpha, ref, rise, deficit in self.rise_and_deficit(Truncation.QUADRATIC):
+            assert abs(deficit / rise - (1.0 - alpha * alpha / 16.0)) <= math.ulp(ref) / rise, alpha
+
+    def test_the_linear_truncation_moves_path_I_alone(self):
+        # path II keeps I_ref exactly; path I rises by I_ref alpha^2/4 (measured 0.5 ulp of I_ref)
+        for alpha, ref, rise, deficit in self.rise_and_deficit(Truncation.LINEAR):
+            assert deficit == 0.0
+            assert abs(rise - ref * alpha * alpha / 4.0) <= math.ulp(ref), alpha
 
 
 # Every scale of the domain, [1e-12, 1e12] cps.

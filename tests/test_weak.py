@@ -1,6 +1,9 @@
 import cmath
+import importlib.util
 import math
 import re
+import sys
+from pathlib import Path as FilePath
 
 import numpy as np
 import pytest
@@ -41,6 +44,7 @@ from cheshire.weak import (
 )
 
 ALPHA_20 = math.radians(20.0)
+PERFBENCH = FilePath(__file__).resolve().parents[1] / "perfbench"
 
 
 def path_spin(state: JointState) -> np.ndarray:
@@ -488,21 +492,22 @@ class TestOneTestGuard:
             )
             assert _estimate_bits(estimate) == expected
 
-    def test_the_benchmark_traffic_meets_the_one_test(self, monkeypatch):
-        # what order-scan and scenario-mix pass: Python floats, a scan's float64 reading,
-        # the zero sigmas by default, a Path and the canonical set; none of it reaches a check
+    def test_the_benchmark_traffic_meets_the_one_test(self, monkeypatch, tmp_path):
+        # one round of the benchmark's own scenario-mix and order-scan operations at seed 1,
+        # read-only from perfbench/workloads.py: nothing they pass the weak layer reaches a check
         def refuse(name, *args):
             raise AssertionError(f"{name} took the checks' route")
 
+        monkeypatch.syspath_prepend(str(PERFBENCH))  # workloads.py imports its oracle by name
+        spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH / "workloads.py")
+        workloads = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look it up there
+        spec.loader.exec_module(workloads)
         monkeypatch.setattr(weak, "_require_real", refuse)
         monkeypatch.setattr(weak, "_require_member", refuse)
-        reading = truncation_scan(Path.II, np.geomspace(0.01, 0.3, 10)).i_exact[0]
-        for path in Path:
-            weakvalue_intensity(0.01, path, exact_weak_values(), I_REF_NORM)
-        estimate_sigma_pi(reading, I_REF_NORM, 0.01, 1.0)
-        estimate_sigma_pi(float(reading), I_REF_NORM, 0.01, 1.0)
-        estimate_pi_from_absorber(np.float64(0.2), I_REF_NORM, 0.5)
-        estimate_pi_from_absorber(0.2, I_REF_NORM, 0.0)
+        for build in (workloads.scenario_mix, workloads.order_scan):
+            for op in build(1, tmp_path).ops:
+                op.call()
 
     def test_a_weak_value_set_subclass_is_still_accepted(self):
         class Subset(WeakValueSet):
@@ -556,6 +561,17 @@ class TestModularValue:
         assert m == 1 and I_REF_NORM * abs(m) ** 2 == 0.25
         scenario = Scenario(insertion=Magnet(Path.II, alpha, Truncation.LINEAR))
         assert run(scenario)[Detector.O_SELECTED].intensity_norm == 0.25
+
+    @pytest.mark.parametrize(
+        "c, s, sigma_pi_i, shown",
+        [(1e300, 0.0, 1e300j, "(inf+0j)"), (1e300, 1e300, 1e10j, "(nan+0j)")],
+    )
+    def test_an_overflow_is_refused_naming_the_arguments(self, c, s, sigma_pi_i, shown):
+        values = WeakValueSet(1e10, 1 - 1e10, sigma_pi_i, 0)
+        message = (f"c {c!r} and s {s!r} give a modular value that is not finite ({shown}) "
+                   f"on path I with {values!r}")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            modular_value(Path.I, c, s, values)
 
     def test_returns_a_python_complex(self):
         m = modular_value(Path.I, np.float64(0.5), np.float32(0.25), exact_weak_values())
