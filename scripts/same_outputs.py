@@ -9,8 +9,11 @@ tree and in this working tree (uncommitted edits included) with the same
 interpreter, and compares each command's exit status, stdout, stderr and CSV
 file byte for byte.  Two sweeps span several CSV blocks of grid points: 2500
 chi points of a path I magnet to a ``--csv`` file and 1500 alpha points of a
-path II quadratic magnet to stdout.  The ``--config`` runs read two scenario
-files that the script writes into each tree's work directory first.  It then runs
+path II quadratic magnet to stdout.  Four take the grids' edge cases
+to stdout: a chi step that underflows to 0, a two-point sweep, an alpha sweep
+over twelve decades and a 1000-point analyze grid.  The ``--config`` runs
+read two scenario files that the script writes into each tree's work
+directory first.  It then runs
 ``pytest -q -s tests/test_acceptance.py`` in both trees and compares the
 output, with a trailing `` in N.NNs`` cut from each line: criteria 03 and 09
 print their own wall time, and pytest its own.
@@ -139,6 +142,13 @@ def commands() -> list[tuple[list[str], str | None]]:
           "--points", "2500", "--csv", "sweep_blocks.csv"], "sweep_blocks.csv"),
         (["sweep", "--insertion", "magnet", "--path", "II", "--truncation", "quadratic", "--chi-deg", "30",
           "--vary", "alpha", "--points", "1500"], None),
+        # grid edges: a chi step that underflows to 0, two points, twelve decades of alpha,
+        # and a long analyze grid
+        (["sweep", "--vary", "chi", "--start", "0", "--stop", "5e-324", "--points", "3"], None),
+        (["sweep", "--vary", "chi", "--points", "2"], None),
+        (["sweep", "--insertion", "magnet", "--path", "I", "--vary", "alpha", "--start", "1e-9",
+          "--stop", "1000", "--points", "40"], None),
+        (["analyze", "--path", "II", "--alpha-min", "1e-6", "--alpha-max", "3", "--points", "1000"], None),
         # the corner of the domain where the readings and rates are largest
         (["run", "--insertion", "magnet", "--path", "I", "--truncation", "quadratic", "--alpha-rad", "1e6",
           "--chi-rad", "0.5", "--scale-ref-cps", "1e12"], None),

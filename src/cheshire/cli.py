@@ -273,6 +273,37 @@ def _table(headers: list[str], rows: list[list[str]]) -> str:
     return "\n".join(lines)
 
 
+def _linspace(start: float, stop: float, points: int) -> np.ndarray:
+    """``np.linspace(start, stop, points)`` for float bounds and ``points >= 2``, bit for bit.
+
+    numpy's own arithmetic without its dtype and shape set-up: ``arange``
+    times the step, plus ``start``, with the last point pinned to ``stop``.
+    """
+    delta = stop - start
+    step = delta / (points - 1)
+    grid = np.arange(points, dtype=float)
+    if step == 0:  # a step that underflows: numpy divides first, then scales by the distance
+        grid /= points - 1
+        grid *= delta
+    else:
+        grid *= step
+    grid += start
+    grid[-1] = stop
+    return grid
+
+
+def _geomspace(start: float, stop: float, points: int) -> np.ndarray:
+    """``np.geomspace(start, stop, points)`` for ``0 < start < stop`` and ``points >= 2``, bit for bit.
+
+    numpy's own algorithm without its dtype and sign set-up: ten to the
+    power of a :func:`_linspace` between the bounds' ``np.log10``, with both
+    ends pinned to the bounds.
+    """
+    grid = np.power(10.0, _linspace(np.log10(start), np.log10(stop), points))
+    grid[0], grid[-1] = start, stop
+    return grid
+
+
 def _scenario_id(scenario: Scenario) -> str:
     ins = scenario.insertion
     if ins is None:
@@ -320,10 +351,16 @@ def _write_csv(csv: tuple[str, str] | None, chunks: Iterable[str]) -> None:
     partial = os.path.join(os.path.dirname(target), f".{os.path.basename(target)}.{os.getpid()}.tmp")
     rows = -1  # the header is no row
     try:
-        with open(partial, "wb") as handle:
+        # Each chunk is a whole block of lines, so a buffer would only copy it: no buffer.
+        fd = os.open(partial, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+        try:
             for chunk in chunks:
-                handle.write(chunk.encode("utf-8"))
+                data = chunk.encode("utf-8")
+                while data:  # a short write leaves the rest to the next call
+                    data = data[os.write(fd, data):]
                 rows += chunk.count("\n")
+        finally:
+            os.close(fd)
         os.replace(partial, target)
     except BaseException as exc:
         if os.path.lexists(partial):
@@ -359,13 +396,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise ValueError("need --start < --stop, a finite distance apart")
 
     if args.vary == "chi":
-        grid = np.linspace(start, stop, points)
+        grid = _linspace(start, stop, points)
         readings = run_batch(template, chi_rad=grid)
     else:
         if start <= 0.0:
             raise ValueError("alpha sweeps need --start > 0 (log-spaced grid)")
         _require_real("--stop", stop, "lie in [-1e6, 1e6]")
-        grid = np.geomspace(start, stop, points)
+        grid = _geomspace(start, stop, points)
         readings = run_batch(template, alpha_rad=grid)
 
     _write_csv(args.csv, _sweep_csv(template, args.vary, grid, readings, scale))
@@ -413,7 +450,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     if not (0.0 < args.alpha_min < args.alpha_max < math.inf):
         raise ValueError("need 0 < --alpha-min < --alpha-max")
     _require_real("--alpha-max", args.alpha_max, "lie in (0, 1e6]")
-    grid = np.geomspace(args.alpha_min, args.alpha_max, args.points)
+    grid = _geomspace(args.alpha_min, args.alpha_max, args.points)
     report = truncation_scan(path, grid)
 
     header = ["alpha_rad", "i_exact_norm", "i_linear_norm", "i_quadratic_norm",

@@ -276,7 +276,7 @@ def count_rate(intensity_norm, scale_ref_cps: float):
         isinstance(intensity_norm, (np.ndarray, np.generic)) and intensity_norm.dtype.kind in "biuf"
     ):  # rounding is monotone, so the largest magnitude has the largest rate
         try:
-            peak = float(np.max(np.abs(intensity_norm), initial=0.0))
+            peak = float(np.maximum.reduce(np.abs(intensity_norm), axis=None, initial=0.0))
         except OverflowError:  # an int past the float range
             peak = math.inf
     else:

@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from cheshire.analysis import (
+    BENCHMARK_ALPHA_RAD,
     ERROR_FLOOR,
     PUBLISHED_BENCHMARKS,
+    REF_CALIBRATION_SIGMA_CPS,
     cheshire_witness,
     duration_for_rate_sigma,
     fit_loglog_slope,
@@ -19,7 +21,7 @@ from cheshire.analysis import (
     truncation_scan,
 )
 from cheshire.elements import Truncation
-from cheshire.experiment import Magnet, Scenario, run_batch
+from cheshire.experiment import Detector, Magnet, Scenario, count_rate, run, run_batch
 from cheshire.qcore import Path
 
 GRID = np.geomspace(0.01, 0.3, 50)
@@ -367,3 +369,57 @@ class TestBenchmarkTable:
     def test_shifted_scale_breaks_agreement(self):
         table = reproduce_benchmark_table(scale_ref_cps=12.5)
         assert not all(row.agrees for row in table)
+
+
+class TestPaperVerdict:
+    """The published rates decide the truncation.  Each model's O_selected rate at
+    20 degrees comes through ``run``; its z-score against each measured magnet row
+    uses ``reproduce_benchmark_table``'s combined sigma, the calibration's share of
+    the theory rate and the measured sigma in quadrature.  The figures are those of
+    the verdict table in ROADMAP.md."""
+
+    MEASURED = {quantity: (value, sigma) for quantity, value, sigma in PUBLISHED_BENCHMARKS}
+    ROWS = (("I_mag_II", Path.II), ("I_mag_I", Path.I))
+
+    def rates_and_z(self, truncation):
+        """{quantity: (theory cps, z)} of the two magnet rows."""
+        rows = {}
+        for quantity, path in self.ROWS:
+            record = run(Scenario(Magnet(path, BENCHMARK_ALPHA_RAD, truncation)))[Detector.O_SELECTED]
+            measured, sigma = self.MEASURED[quantity]
+            combined = math.hypot(count_rate(record.intensity_norm, REF_CALIBRATION_SIGMA_CPS), sigma)
+            rows[quantity] = (record.intensity_cps, (record.intensity_cps - measured) / combined)
+        return rows
+
+    def test_the_exact_model_is_the_benchmark_tables_theory(self):
+        table = {row.quantity: row for row in reproduce_benchmark_table()}
+        for quantity, (rate, z) in self.rates_and_z(Truncation.EXACT).items():
+            row = table[quantity]
+            combined = math.hypot(row.theory_sigma_cps, row.measured_sigma_cps)
+            assert rate == pytest.approx(row.theory_cps, rel=1e-14)
+            assert z == pytest.approx((row.theory_cps - row.measured_cps) / combined, rel=1e-12)
+
+    def test_linear_is_rejected_beyond_three_sigma_on_path_II(self):
+        z = self.rates_and_z(Truncation.LINEAR)["I_mag_II"][1]
+        assert z > 3.0
+        assert round(z, 2) == 4.10
+
+    @pytest.mark.parametrize(
+        "truncation, z_ii, z_i",
+        [(Truncation.EXACT, -0.25, 0.24), (Truncation.QUADRATIC, -0.26, 0.29)],
+    )
+    def test_exact_and_quadratic_lie_within_one_sigma(self, truncation, z_ii, z_i):
+        rows = self.rates_and_z(truncation)
+        assert all(abs(z) < 1.0 for _, z in rows.values())
+        assert (round(rows["I_mag_II"][1], 2), round(rows["I_mag_I"][1], 2)) == (z_ii, z_i)
+
+    @pytest.mark.parametrize(
+        "truncation, chi2",
+        [(Truncation.EXACT, 0.12), (Truncation.QUADRATIC, 0.15), (Truncation.LINEAR, 16.87)],
+    )
+    def test_two_row_chi_square(self, truncation, chi2):
+        assert round(sum(z * z for _, z in self.rates_and_z(truncation).values()), 2) == chi2
+
+    def test_path_I_rates_of_linear_and_quadratic_are_bit_identical(self):
+        rates = [self.rates_and_z(t)["I_mag_I"][0].hex() for t in (Truncation.LINEAR, Truncation.QUADRATIC)]
+        assert rates[0] == rates[1]

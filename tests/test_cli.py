@@ -1,3 +1,4 @@
+import errno
 import math
 import os
 import subprocess
@@ -942,6 +943,121 @@ def test_sweep_csv_bytes_match_a_plain_formatter(capsys, tmp_path, ins, chi, var
     out_csv = tmp_path / "sweep.csv"
     assert run_cli(capsys, *argv, "--csv", str(out_csv)) == (0, f"wrote {3 * points} rows to {out_csv}\n", "")
     assert out_csv.read_bytes() == expected.encode("utf-8")
+
+
+def _same_bits(grid: np.ndarray, reference: np.ndarray) -> bool:
+    return grid.dtype == reference.dtype and np.array_equal(grid.view(np.int64), reference.view(np.int64))
+
+
+class TestSweepGrids:
+    """``cli._linspace`` and ``cli._geomspace`` give the bits of the installed numpy's
+    ``np.linspace`` and ``np.geomspace``, so every numpy that CI runs is checked."""
+
+    def sample(self, seed: int, n: int):
+        """Pairs of (start, stop, points) from the CLI's domains: chi bounds a finite
+        distance apart, alpha bounds in (0, 1e6]."""
+        rng = np.random.default_rng(seed)
+        points = np.exp(rng.uniform(np.log(2), np.log(2000), n)).astype(int).tolist()
+        sign = rng.choice((-1.0, 1.0), n)
+        starts = (sign * 10.0 ** rng.uniform(-12, 6, n)).tolist()
+        widths = (10.0 ** rng.uniform(-12, 7, n)).tolist()
+        lows, highs = np.sort(rng.uniform(-323, 6, (2, n)), axis=0)
+        for start, width, low, high, count in zip(starts, widths, lows.tolist(), highs.tolist(), points):
+            # a width below half of start's ulp gives the next float
+            stop = max(start + width, math.nextafter(start, math.inf))
+            yield (start, stop, count), (10.0 ** low, 10.0 ** high, count)
+
+    def test_a_seeded_sample_of_the_cli_domains(self):
+        bad = []
+        for chi, alpha in self.sample(2014, 10_000):
+            assert chi[0] < chi[1] and 0.0 < alpha[0] < alpha[1] <= 1e6, (chi, alpha)
+            if not _same_bits(cli._linspace(*chi), np.linspace(*chi)):
+                bad.append(("chi", chi))
+            if not _same_bits(cli._geomspace(*alpha), np.geomspace(*alpha)):
+                bad.append(("alpha", alpha))
+        assert bad == []
+
+    SPACES = {"chi": (cli._linspace, np.linspace), "alpha": (cli._geomspace, np.geomspace)}
+
+    @pytest.mark.parametrize(
+        "vary, start, stop, points",
+        [
+            ("chi", *cli._SWEEP_GRID["chi"]),
+            ("alpha", *cli._SWEEP_GRID["alpha"]),
+            ("chi", -1.0, 4.0, 2),
+            ("chi", 0.0, 5e-324, 2),
+            ("chi", 1.0, 1.0000000000000002, 2),
+            ("alpha", 0.01, 0.3, 2),
+            ("alpha", 5e-324, 1e6, 2),
+            ("alpha", 1.0, 1.0000000000000002, 2),
+            *(("alpha", 1e-9, 1e3, points) for points in (2, 12, 30, 75, 1000)),  # twelve decades
+        ],
+    )
+    def test_named_grids(self, vary, start, stop, points):
+        build, space = self.SPACES[vary]
+        assert _same_bits(build(start, stop, points), space(start, stop, points))
+
+    def test_analyze_defaults(self):
+        analyze = cli.build_parser().commands["analyze"]
+        grid = tuple(analyze.get_default(name) for name in ("alpha_min", "alpha_max", "points"))
+        assert _same_bits(cli._geomspace(*grid), np.geomspace(*grid))
+
+    @pytest.mark.parametrize("stop, points", [(5e-324, 3), (2.5e-323, 12)])
+    def test_a_step_that_underflows_takes_numpys_branch(self, stop, points):
+        # the step rounds to 0, so numpy divides first and then scales; at 12 points
+        # only that order gives the middle points their subnormal values
+        assert stop / (points - 1) == 0.0
+        assert _same_bits(cli._linspace(0.0, stop, points), np.linspace(0.0, stop, points))
+
+
+class TestOsLevelWrite:
+    """``_write_csv`` writes through ``os.write``: a short write is finished, and a
+    failed one keeps the old CSV."""
+
+    ARGS = ["sweep", "--vary", "chi", "--insertion", "magnet", "--path", "I", "--alpha-deg", "20",
+            "--points", "1500"]
+
+    def test_short_writes_give_the_stdout_bytes(self, capsys, tmp_path, monkeypatch):
+        code, stdout_csv, _ = run_cli(capsys, *self.ARGS)
+        assert code == 0
+        write = os.write
+        calls = []
+
+        def at_most_seven(fd, data):
+            calls.append(len(data))
+            return write(fd, data[:7])
+
+        monkeypatch.setattr(os, "write", at_most_seven)
+        out_csv = tmp_path / "sweep.csv"
+        wrote = f"wrote 4500 rows to {out_csv}\n"
+        assert run_cli(capsys, *self.ARGS, "--csv", str(out_csv)) == (0, wrote, "")
+        assert out_csv.read_bytes() == stdout_csv.encode("utf-8")
+        # one call per 7 bytes of each chunk: the header, then one chunk per block of grid points
+        rows = stdout_csv.encode("utf-8").splitlines(keepends=True)
+        block = 3 * cli._BLOCK
+        chunks = [rows[0]] + [b"".join(rows[lo : lo + block]) for lo in range(1, len(rows), block)]
+        assert calls == [len(chunk) - done for chunk in chunks for done in range(0, len(chunk), 7)]
+        assert [p.name for p in tmp_path.iterdir()] == ["sweep.csv"]
+
+    def test_a_full_disk_keeps_the_old_file(self, capsys, tmp_path, monkeypatch):
+        out_csv = tmp_path / "sweep.csv"
+        out_csv.write_bytes(b"old contents\n")
+        write = os.write
+        calls = []
+
+        def full_on_the_second_call(fd, data):
+            calls.append(len(data))
+            if len(calls) == 2:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return write(fd, data)
+
+        monkeypatch.setattr(os, "write", full_on_the_second_call)
+        code, out, err = run_cli(capsys, *self.ARGS, "--csv", str(out_csv))
+        assert (code, out) == (1, "")
+        assert err == f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
+        assert len(calls) == 2
+        assert out_csv.read_bytes() == b"old contents\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["sweep.csv"]
 
 
 class TestInputChecks:

@@ -389,6 +389,29 @@ class TestCountRate:
         assert np.array_equal(rate, np.asarray(norm, dtype=float) / 0.25 * 1e12)
         assert np.isfinite(rate).all()
 
+    @pytest.mark.parametrize(
+        "norm, rate",
+        [(np.array([]), np.array([])), (np.zeros((0, 3), dtype=np.int8), np.zeros((0, 3))),
+         (np.array(0.5), np.float64(4.0)), (np.array([True, False]), np.array([8.0, 0.0])),
+         (np.uint64(2**64 - 1), np.float64(2.0**66 * 2.0)), (2**63, 2.0**65 * 2.0), (True, 8.0)],
+        ids=["empty", "empty-int8-2d", "0-d", "bool-array", "uint64-max", "int-past-int64", "bool"],
+    )
+    def test_an_edge_input_reads_its_float64_rate(self, norm, rate):
+        # the peak's reduction starts from 0, so an empty array has one and reads an empty rate
+        got = count_rate(norm, 2.0)
+        assert type(got) is type(rate) and np.shape(got) == np.shape(rate)
+        assert np.array_equal(got, rate) and np.asarray(got).dtype == np.float64
+
+    @pytest.mark.parametrize(
+        "norm, magnitude",
+        [(10**400, "inf"), (-(10**400), "inf"), (np.array([np.nan, 0.25]), "nan"), (np.array([np.inf]), "inf"),
+         (np.float64(-np.inf), "inf")],
+        ids=["int-past-float", "negative-int-past-float", "nan-array", "inf-array", "-inf-float64"],
+    )
+    def test_an_edge_input_without_a_finite_rate_is_an_error(self, norm, magnitude):
+        with pytest.raises(ValueError, match=f"^intensity_norm of magnitude {magnitude} has no finite count rate$"):
+            count_rate(norm, 2.0)
+
     def test_a_long_double_past_the_float_range_is_refused_before_any_cast(self):
         if np.finfo(np.longdouble).maxexp <= np.finfo(float).maxexp:
             pytest.skip("long double has the range of a double here")
